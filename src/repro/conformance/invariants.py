@@ -329,7 +329,8 @@ def check_source(source: str, seed: Optional[int] = None,
         eliminated = elimination_key(comp)
         for entry in engine.split(sel.loop_id):
             for thread in entry.threads:
-                _, _, heap_seq = prepare_view(thread, eliminated)
+                _, _, heap_seq = prepare_view(thread, eliminated,
+                                              entry.frame_id)
                 ov = overflow_point(heap_seq, config)
                 if ov is not None and not 0 <= ov <= thread.size:
                     _raise(KIND_BUFFER_LIMIT,

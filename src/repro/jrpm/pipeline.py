@@ -258,9 +258,9 @@ class Jrpm:
                 self.max_instructions,
                 "columnar" if self.columnar else "rows",
                 self.trace_jit,
-                # artifact-format version: annotation tallies now live
-                # on the device instead of a fourth artifact element
-                "art2")
+                # artifact-format version: bumped whenever a stored
+                # artifact changes shape, so stale disk blobs miss
+                "art3")
             hit, art = cache.fetch(STAGE_PROFILE, pkey)
         if hit:
             profiled, device, recording = art

@@ -217,11 +217,12 @@ class DoacrossSimulator:
                                         self._eliminated)
         eliminated = self._eliminated
         out = []
+        frame_id = entry.frame_id
         for t in threads:
             if type(t) is ThreadView:
-                out.append(prepare_view(t, eliminated))
+                out.append(prepare_view(t, eliminated, frame_id))
             else:
-                out.append(prepare_thread(t.events, eliminated))
+                out.append(prepare_thread(t.events, eliminated, frame_id))
         return out
 
     def _simulate_entry(self, entry, predictor, result):

@@ -15,7 +15,7 @@ are identified by ``(frame_id, slot)`` so recursion never aliases.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class TraceListener:
@@ -126,19 +126,14 @@ def local_address(frame_id: int, slot: int) -> int:
 
 
 class RecordingListener(TraceListener):
-    """Records the full event stream, for the TLS trace splitter
-    (:mod:`repro.tls.thread_trace`) and for tests.
+    """Records the full event stream as rows, for the reference trace
+    splitter (:mod:`repro.tls.thread_trace`) and for tests."""
 
-    ``loop_filter`` optionally restricts loop marks to one loop id; memory
-    events are always recorded (the splitter windows them by marks).
-    """
-
-    def __init__(self, loop_filter: int = None):
+    def __init__(self):
         self.mem: List[MemEvent] = []
         self.marks: List[LoopMark] = []
         #: frame id of each recorded sloop mark, in order
         self.sloop_frames: List[int] = []
-        self._loop_filter = loop_filter
 
     def on_load(self, address, cycle, fn="", pc=-1):
         self.mem.append(MemEvent(cycle, "ld", address))
@@ -154,9 +149,6 @@ class RecordingListener(TraceListener):
         self.mem.append(
             MemEvent(cycle, "lst", local_address(frame_id, slot)))
 
-    def _want(self, loop_id: int) -> bool:
-        return self._loop_filter is None or loop_id == self._loop_filter
-
     def on_mem_batch(self, events):
         append = self.mem.append
         for ev in events:
@@ -168,22 +160,23 @@ class RecordingListener(TraceListener):
                     ev[3], kind, local_address(ev[1], ev[2])))
 
     def on_sloop(self, loop_id, n_locals, cycle, frame_id=-1):
-        if self._want(loop_id):
-            self.marks.append(LoopMark(cycle, "sloop", loop_id))
-            self.sloop_frames.append(frame_id)
+        self.marks.append(LoopMark(cycle, "sloop", loop_id))
+        self.sloop_frames.append(frame_id)
 
     def on_eoi(self, loop_id: int, cycle: int) -> None:
-        if self._want(loop_id):
-            self.marks.append(LoopMark(cycle, "eoi", loop_id))
+        self.marks.append(LoopMark(cycle, "eoi", loop_id))
 
     def on_eloop(self, loop_id: int, cycle: int) -> None:
-        if self._want(loop_id):
-            self.marks.append(LoopMark(cycle, "eloop", loop_id))
+        self.marks.append(LoopMark(cycle, "eloop", loop_id))
 
 
 #: integer kind codes of the columnar trace layout (one byte per event)
 KIND_LD, KIND_ST, KIND_LLD, KIND_LST = 0, 1, 2, 3
 KIND_NAMES = ("ld", "st", "lld", "lst")
+
+#: integer kind codes of the columnar mark layout (one byte per mark)
+MARK_SLOOP, MARK_EOI, MARK_ELOOP = 0, 1, 2
+MARK_NAMES = ("sloop", "eoi", "eloop")
 
 
 class ColumnarRecording(TraceListener):
@@ -203,18 +196,42 @@ class ColumnarRecording(TraceListener):
     trace splitter bisects, with no per-call rebuild and no per-thread
     event materialization (see :mod:`repro.tls.thread_trace`).
 
-    Loop marks stay row-shaped (:class:`LoopMark`); they are three
-    orders of magnitude rarer than memory events.
+    Loop marks are columns too, because they are not rare: the 26
+    Table 6 programs record 320,231 marks against ~1.69M events, about
+    1:5.  Stored as :class:`LoopMark` rows they made unpickling those
+    26 profile artifacts take ~0.5 s; as columns it takes ~0.035 s
+    (both on a shared 2-CPU x86-64 host).
+
+    The mark columns:
+
+    * ``mark_kinds`` — one byte per mark (:data:`MARK_SLOOP` ..
+      ``MARK_ELOOP``);
+    * ``mark_cycles`` — ``array('q')`` of mark timestamps;
+    * ``mark_loops`` — ``array('i')`` of loop ids;
+    * ``sloop_frames`` — ``array('q')``, the frame id of each sloop
+      mark, in order.
+
+    :meth:`loop_marks` serves one loop's mark positions from a per-loop
+    index, built in one pass on first use and left out of the pickled
+    state, so the splitter reads only the marks of the loop it windows.
+    ``marks`` materializes the row view (tests / debugging only).
     """
 
-    def __init__(self, loop_filter: Optional[int] = None):
+    def __init__(self):
         self.kinds = bytearray()
         self.cycles = array("q")
         self.addresses = array("q")
-        self.marks: List[LoopMark] = []
-        #: frame id of each recorded sloop mark, in order
-        self.sloop_frames: List[int] = []
-        self._loop_filter = loop_filter
+        self.mark_kinds = bytearray()
+        self.mark_cycles = array("q")
+        self.mark_loops = array("i")
+        self.sloop_frames = array("q")
+        #: (mark count, loop id -> mark positions), built on first use
+        self._loop_index: Optional[Tuple[int, Dict[int, List[int]]]] = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_loop_index"] = None
+        return state
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -225,6 +242,27 @@ class ColumnarRecording(TraceListener):
         for i in range(len(self.kinds)):
             yield MemEvent(self.cycles[i], names[self.kinds[i]],
                            self.addresses[i])
+
+    @property
+    def marks(self) -> List[LoopMark]:
+        """Row view of the mark columns (tests / debugging only)."""
+        names = MARK_NAMES
+        return [LoopMark(cycle, names[kind], loop_id)
+                for kind, cycle, loop_id in zip(
+                    self.mark_kinds, self.mark_cycles, self.mark_loops)]
+
+    def loop_marks(self, loop_id: int) -> List[int]:
+        """Positions in the mark columns of ``loop_id``'s marks, in
+        order.  The index over every loop is built on first use and
+        rebuilt when more marks arrive."""
+        loops = self.mark_loops
+        cached = self._loop_index
+        if cached is None or cached[0] != len(loops):
+            index: Dict[int, List[int]] = {lid: [] for lid in set(loops)}
+            for pos, lid in enumerate(loops):
+                index[lid].append(pos)
+            cached = self._loop_index = (len(loops), index)
+        return cached[1].get(loop_id, [])
 
     # -- memory events ---------------------------------------------------
 
@@ -269,21 +307,21 @@ class ColumnarRecording(TraceListener):
 
     # -- loop marks ------------------------------------------------------
 
-    def _want(self, loop_id: int) -> bool:
-        return self._loop_filter is None or loop_id == self._loop_filter
-
     def on_sloop(self, loop_id, n_locals, cycle, frame_id=-1):
-        if self._want(loop_id):
-            self.marks.append(LoopMark(cycle, "sloop", loop_id))
-            self.sloop_frames.append(frame_id)
+        self.mark_kinds.append(MARK_SLOOP)
+        self.mark_cycles.append(cycle)
+        self.mark_loops.append(loop_id)
+        self.sloop_frames.append(frame_id)
 
     def on_eoi(self, loop_id: int, cycle: int) -> None:
-        if self._want(loop_id):
-            self.marks.append(LoopMark(cycle, "eoi", loop_id))
+        self.mark_kinds.append(MARK_EOI)
+        self.mark_cycles.append(cycle)
+        self.mark_loops.append(loop_id)
 
     def on_eloop(self, loop_id: int, cycle: int) -> None:
-        if self._want(loop_id):
-            self.marks.append(LoopMark(cycle, "eloop", loop_id))
+        self.mark_kinds.append(MARK_ELOOP)
+        self.mark_cycles.append(cycle)
+        self.mark_loops.append(loop_id)
 
 
 class MulticastListener(TraceListener):

@@ -29,19 +29,22 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from itertools import islice
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.jit.speculative import STLCompilation
-from repro.runtime.events import ColumnarRecording
-from repro.tls.simulator import (
-    TLSResult,
-    TLSSimulator,
-    overflow_point,
-    prepare_view,
+from repro.runtime.events import (
+    KIND_LD,
+    KIND_LLD,
+    KIND_ST,
+    ColumnarRecording,
+    local_address,
 )
-from repro.tls.thread_trace import EntryTrace, ThreadView, split_trace
+from repro.runtime.heap import LINE_SIZE
+from repro.tls.simulator import TLSResult, TLSSimulator, overflow_point
+from repro.tls.thread_trace import EntryTrace, split_trace
 
 #: kernel names, in pipeline order
 KERNELS = ("split", "classify", "overflow", "resolve")
@@ -104,6 +107,60 @@ class TraceEngineStats:
                 k, self.seconds[k], self.calls[k], self.hits[k],
                 self.misses[k]))
         return "\n".join(lines)
+
+
+def classify_entry(entry: EntryTrace, eliminated: frozenset) -> tuple:
+    """:func:`~repro.tls.simulator.prepare_view` of every thread of one
+    columnar entry, with identical output.
+
+    An entry's thread windows are contiguous, so the three columns are
+    sliced once per entry and each thread consumes its share of one
+    shared ``zip`` iterator.  ``line_of`` is inlined, and the local
+    test becomes one range check against the entry frame's synthetic
+    address block plus one set probe for its eliminated slots.
+    """
+    threads = entry.threads
+    if not threads:
+        return ()
+    rec = threads[0].recording
+    lo, hi = threads[0].lo, threads[-1].hi
+    events = zip(rec.kinds[lo:hi], rec.addresses[lo:hi],
+                 rec.cycles[lo:hi])
+    frame_lo = local_address(entry.frame_id, 0)
+    frame_hi = frame_lo + 0x10000
+    dropped = {local_address(entry.frame_id, slot) for slot in eliminated}
+    line_size = LINE_SIZE
+    out = []
+    for view in threads:
+        start = view.start
+        dep_loads: list = []
+        stores: list = []
+        heap_seq: list = []
+        dep_append = dep_loads.append
+        stores_append = stores.append
+        heap_append = heap_seq.append
+        own = set()
+        own_add = own.add
+        for kind, addr, cyc in islice(events, view.hi - view.lo):
+            if kind == KIND_LD:
+                rel = cyc - start
+                heap_append((rel, False, addr // line_size))
+                if addr not in own:
+                    dep_append((rel, addr, False))
+            elif kind == KIND_ST:
+                rel = cyc - start
+                heap_append((rel, True, addr // line_size))
+                stores_append((rel, addr, False))
+                own_add(addr)
+            elif frame_lo <= addr < frame_hi and addr not in dropped:
+                if kind == KIND_LLD:
+                    if addr not in own:
+                        dep_append((cyc - start, addr, True))
+                else:
+                    stores_append((cyc - start, addr, True))
+                    own_add(addr)
+        out.append((tuple(dep_loads), tuple(stores), tuple(heap_seq)))
+    return tuple(out)
 
 
 def overflow_config_key(config: HydraConfig) -> tuple:
@@ -177,8 +234,7 @@ class TraceEngine:
             return prepared
         stats.misses["classify"] += 1
         t0 = time.perf_counter()
-        prepared = tuple(prepare_view(view, eliminated)
-                         for view in entry.threads)
+        prepared = classify_entry(entry, eliminated)
         stats.seconds["classify"] += time.perf_counter() - t0
         stats.calls["classify"] += 1
         self._prepared[key] = prepared

@@ -35,9 +35,10 @@ Per-thread analysis is factored into two pure kernels so the columnar
 configuration sweeps:
 
 * :func:`prepare_thread` / :func:`prepare_view` — classification: drop
-  compiler-eliminated locals, pre-resolve own-store forwarding, and
-  project the heap event sequence.  Depends only on the thread's events
-  and the compilation's eliminated-slot sets.
+  compiler-eliminated locals and other frames' locals, pre-resolve
+  own-store forwarding, and project the heap event sequence.  Depends
+  only on the thread's events, its entry's frame and the compilation's
+  eliminated-slot sets.
 * :func:`overflow_point` — first speculative-buffer overflow of the
   prepared heap sequence.  Depends only on the Table 1 buffer geometry
   (``load_buffer_lines``, ``load_buffer_assoc``, ``store_buffer_lines``).
@@ -61,6 +62,7 @@ from repro.tls.thread_trace import (
     EntryTrace,
     ThreadTrace,
     ThreadView,
+    local_frame_of,
     local_slot_of,
 )
 
@@ -188,13 +190,17 @@ def elimination_key(compilation: STLCompilation) -> frozenset:
     return compilation.eliminated_slots | compilation.invariant_slots
 
 
-def prepare_thread(events, eliminated: frozenset) -> PreparedEvents:
-    """Classify one row-shaped thread (list of ``(rel, kind, addr)``).
+def prepare_thread(events, eliminated: frozenset, frame_id: int
+                   ) -> PreparedEvents:
+    """Classify one row-shaped thread (list of ``(rel, kind, addr)``)
+    of an entry executed by frame ``frame_id``.
 
-    Drops compiler-eliminated local accesses, resolves own-store
-    forwarding (a load preceded by this thread's own store to the same
-    address never leaves the store buffer), and projects the heap event
-    sequence for the overflow model.
+    Drops compiler-eliminated local accesses and every local of another
+    frame (a callee's: frame ids are unique per activation, so those can
+    never carry a cross-thread arc), resolves own-store forwarding (a
+    load preceded by this thread's own store to the same address never
+    leaves the store buffer), and projects the heap event sequence for
+    the overflow model.
     """
     dep_loads: List[Tuple[int, int, bool]] = []
     stores: List[Tuple[int, int, bool]] = []
@@ -210,8 +216,8 @@ def prepare_thread(events, eliminated: frozenset) -> PreparedEvents:
             stores.append((rel, addr, False))
             own.add(addr)
         else:
-            slot = local_slot_of(addr)
-            if slot is None or slot in eliminated:
+            if local_frame_of(addr) != frame_id \
+                    or local_slot_of(addr) in eliminated:
                 continue
             if kind == "lld":
                 if addr not in own:
@@ -222,12 +228,13 @@ def prepare_thread(events, eliminated: frozenset) -> PreparedEvents:
     return tuple(dep_loads), tuple(stores), tuple(heap_seq)
 
 
-def prepare_view(view: ThreadView, eliminated: frozenset
+def prepare_view(view: ThreadView, eliminated: frozenset, frame_id: int
                  ) -> PreparedEvents:
-    """Classify one columnar thread window, reading the shared columns
-    directly — no per-event tuple or string materialization.  The
-    window is sliced out of the arrays once so the loop iterates a
-    C-level ``zip`` instead of indexing three columns per event."""
+    """Classify one columnar thread window (same rules as
+    :func:`prepare_thread`), reading the shared columns directly — no
+    per-event tuple or string materialization.  The window is sliced
+    out of the arrays once so the loop iterates a C-level ``zip``
+    instead of indexing three columns per event."""
     rec = view.recording
     lo, hi = view.lo, view.hi
     start = view.start
@@ -253,6 +260,8 @@ def prepare_view(view: ThreadView, eliminated: frozenset
             own_add(addr)
         else:
             if addr < LOCAL_ADDRESS_BASE:
+                continue
+            if (addr - LOCAL_ADDRESS_BASE) >> 16 != frame_id:
                 continue
             if ((addr & 0xFFFF) >> 2) in eliminated:
                 continue
@@ -330,7 +339,8 @@ class TLSSimulator:
             overflow_ats = engine.overflow_entry(
                 loop_id, entry, prepared, cfg)
         else:
-            prepared = [self._prepare_local(t) for t in threads]
+            prepared = [self._prepare_local(t, entry.frame_id)
+                        for t in threads]
             overflow_ats = [overflow_point(p[2], cfg) for p in prepared]
 
         #: address -> (producer thread index, absolute store time, local?)
@@ -386,11 +396,11 @@ class TLSSimulator:
 
     # -- internals ------------------------------------------------------------
 
-    def _prepare_local(self, thread) -> PreparedEvents:
+    def _prepare_local(self, thread, frame_id: int) -> PreparedEvents:
         """Unmemoized classification for either thread layout."""
         if type(thread) is ThreadView:
-            return prepare_view(thread, self._eliminated)
-        return prepare_thread(thread.events, self._eliminated)
+            return prepare_view(thread, self._eliminated, frame_id)
+        return prepare_thread(thread.events, self._eliminated, frame_id)
 
     def _resolve_start(self, base: int, dep_loads,
                        last_store: Dict[int, Tuple[int, int, bool]],

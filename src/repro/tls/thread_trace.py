@@ -10,13 +10,16 @@ memory/local events at thread-relative times.
 Two trace layouts are supported:
 
 * the columnar :class:`~repro.runtime.events.ColumnarRecording`
-  (structure-of-arrays): windowing is **zero-copy** — each thread is a
-  :class:`ThreadView` holding an index range into the shared columns,
-  and the sorted ``cycles`` column *is* the cycle index (the
-  interpreter's clock only increases), so no per-call index rebuild and
-  no per-thread event materialization happen at all;
+  (structure-of-arrays): only the selected loop's marks are read,
+  through the recording's per-loop mark index, and windowing is
+  **zero-copy** — each thread is a :class:`ThreadView` holding an index
+  range into the shared columns, and the sorted ``cycles`` column *is*
+  the cycle index (the interpreter's clock only increases), so no
+  per-call index rebuild and no per-thread event materialization
+  happen at all;
 * the legacy row-of-tuples :class:`~repro.runtime.events.
-  RecordingListener`: threads materialize :class:`ThreadEvent` lists.
+  RecordingListener` (the reference path): every mark is walked and
+  threads materialize :class:`ThreadEvent` lists.
   Its cycle index is built once per recording and cached (selection
   simulates several STLs against the same recording), keyed by the
   event count so a recording that keeps growing is re-indexed.
@@ -25,12 +28,15 @@ Two trace layouts are supported:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.runtime.events import (
     KIND_NAMES,
     LOCAL_ADDRESS_BASE,
+    MARK_EOI,
+    MARK_NAMES,
+    MARK_SLOOP,
     ColumnarRecording,
     MemEvent,
     RecordingListener,
@@ -150,13 +156,17 @@ def split_trace(recording, loop_id: int) -> List[EntryTrace]:
     must execute *somewhere*; in compiled speculative code it is part of
     the final iteration).  Entries with no ``eoi`` become one thread.
 
-    Accepts both recording layouts; a :class:`ColumnarRecording` yields
-    zero-copy :class:`ThreadView` threads.
+    Accepts both recording layouts.  A :class:`ColumnarRecording` reads
+    only ``loop_id``'s marks through its per-loop index and yields
+    zero-copy :class:`ThreadView` threads; a row recording is walked
+    mark by mark (the reference path).
     """
     if isinstance(recording, ColumnarRecording):
+        marks = _indexed_marks(recording, loop_id)
         build = _build_entry_columnar
         context = recording
     else:
+        marks = _walked_marks(recording, loop_id)
         build = _build_entry_rows
         context = (recording.mem, cycle_index(recording))
 
@@ -164,38 +174,67 @@ def split_trace(recording, loop_id: int) -> List[EntryTrace]:
     open_start: Optional[int] = None
     boundaries: List[int] = []
     frame_id = -1
-    global_sloop = -1  # index into recording.sloop_frames (all loops)
 
-    for mark in recording.marks:
-        if mark.kind == "sloop":
-            global_sloop += 1
-        if mark.loop_id != loop_id:
-            continue
-        if mark.kind == "sloop":
+    for kind, cycle, sloop_frame in marks:
+        if kind == MARK_SLOOP:
             if open_start is not None:
                 raise SimulationError(
                     "nested activation of loop L%d in trace" % loop_id)
-            open_start = mark.cycle
-            frame_id = (recording.sloop_frames[global_sloop]
-                        if 0 <= global_sloop < len(recording.sloop_frames)
-                        else -1)
-            boundaries = [mark.cycle]
-        elif mark.kind == "eoi":
+            open_start = cycle
+            frame_id = sloop_frame
+            boundaries = [cycle]
+        elif kind == MARK_EOI:
             if open_start is None:
                 raise SimulationError(
                     "eoi without sloop for loop L%d" % loop_id)
-            boundaries.append(mark.cycle)
-        elif mark.kind == "eloop":
+            boundaries.append(cycle)
+        else:
             if open_start is None:
                 raise SimulationError(
                     "eloop without sloop for loop L%d" % loop_id)
-            entries.append(build(
-                context, boundaries, mark.cycle, frame_id))
+            entries.append(build(context, boundaries, cycle, frame_id))
             open_start = None
     if open_start is not None:
         raise SimulationError(
             "trace ended inside an activation of loop L%d" % loop_id)
     return entries
+
+
+def _walked_marks(recording: RecordingListener, loop_id: int
+                  ) -> Iterator[Tuple[int, int, int]]:
+    """``(mark kind, cycle, sloop frame)`` of one loop's marks, found by
+    walking every mark of a row recording."""
+    frames = recording.sloop_frames
+    global_sloop = -1  # index into sloop_frames (all loops)
+    for mark in recording.marks:
+        kind = MARK_NAMES.index(mark.kind)
+        if kind == MARK_SLOOP:
+            global_sloop += 1
+        if mark.loop_id == loop_id:
+            yield kind, mark.cycle, (
+                frames[global_sloop]
+                if 0 <= global_sloop < len(frames) else -1)
+
+
+def _indexed_marks(recording: ColumnarRecording, loop_id: int
+                   ) -> Iterator[Tuple[int, int, int]]:
+    """``(mark kind, cycle, sloop frame)`` of one loop's marks, read
+    through the recording's per-loop index.  A sloop's position among
+    all sloops (the index of its frame) is counted in C over the mark
+    kinds skipped since the loop's previous sloop."""
+    kinds = recording.mark_kinds
+    cycles = recording.mark_cycles
+    frames = recording.sloop_frames
+    ordinal = -1
+    counted = 0  # kinds[:counted] are already in ordinal
+    for pos in recording.loop_marks(loop_id):
+        kind = kinds[pos]
+        frame_id = -1
+        if kind == MARK_SLOOP:
+            ordinal += kinds.count(MARK_SLOOP, counted, pos) + 1
+            counted = pos + 1
+            frame_id = frames[ordinal]
+        yield kind, cycles[pos], frame_id
 
 
 def _thread_windows(boundaries: List[int], end: int

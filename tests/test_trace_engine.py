@@ -8,6 +8,8 @@ traces, identical splits, and identical TLS results, with the memo
 layer changing only wall-clock, never outcomes.
 """
 
+import pickle
+
 import pytest
 
 from repro.cfg import find_candidates
@@ -21,6 +23,7 @@ from repro.runtime.events import (
     ColumnarRecording,
     MulticastListener,
     RecordingListener,
+    local_address,
 )
 from repro.tls import (
     ThreadView,
@@ -28,6 +31,13 @@ from repro.tls import (
     simulate_stl,
     split_trace,
 )
+from repro.tls.engine import classify_entry
+from repro.tls.simulator import (
+    elimination_key,
+    prepare_thread,
+    prepare_view,
+)
+from repro.workloads.registry import get_workload
 
 from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
 
@@ -55,8 +65,21 @@ def _windowable_loops(table, recording):
     return loops
 
 
-@pytest.fixture(scope="module", params=[NEST_SOURCE, HUFFMAN_SOURCE],
-                ids=["nest", "huffman-nest"])
+def _windows(entries):
+    """Comparable shape of a columnar split."""
+    return [(e.total_cycles, e.frame_id,
+             [(t.lo, t.hi, t.start, t.size) for t in e.threads])
+            for e in entries]
+
+
+#: db is a Table 6 program whose loop windows contain callee-frame
+#: locals, some in slots the loop itself eliminates
+DB_SOURCE = get_workload("db").source()
+
+
+@pytest.fixture(scope="module",
+                params=[NEST_SOURCE, HUFFMAN_SOURCE, DB_SOURCE],
+                ids=["nest", "huffman-nest", "db"])
 def both_layouts(request):
     return _record_both(request.param)
 
@@ -70,6 +93,31 @@ class TestRecordingEquivalence:
     def test_marks_identical(self, both_layouts):
         _, legacy, columnar = both_layouts
         assert columnar.marks == legacy.marks
+
+    def test_pickle_round_trip(self, both_layouts):
+        """Mark columns survive the artifact cache: the unpickled
+        recording has the same marks and splits every loop alike."""
+        table, _, columnar = both_layouts
+        copy = pickle.loads(pickle.dumps(columnar,
+                                         pickle.HIGHEST_PROTOCOL))
+        assert copy.marks == columnar.marks
+        assert list(copy.sloop_frames) == list(columnar.sloop_frames)
+        for lid in sorted(table.by_id):
+            try:
+                want = _windows(split_trace(columnar, lid))
+            except SimulationError:
+                with pytest.raises(SimulationError):
+                    split_trace(copy, lid)
+                continue
+            assert _windows(split_trace(copy, lid)) == want, lid
+
+    def test_loop_index_not_pickled(self, both_layouts):
+        table, _, columnar = both_layouts
+        fresh = pickle.loads(pickle.dumps(columnar))
+        before = pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL)
+        assert _windowable_loops(table, fresh)  # builds the index
+        assert fresh._loop_index is not None
+        assert pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL) == before
 
     def test_cycles_column_sorted(self, both_layouts):
         """The invariant zero-copy windowing bisects on."""
@@ -104,6 +152,63 @@ class TestSplitEquivalence:
                 assert isinstance(view, ThreadView)
                 assert view.recording is columnar
                 assert 0 <= view.lo <= view.hi <= len(columnar)
+
+
+class TestClassifyEquivalence:
+    def test_entry_kernel_matches_references(self, both_layouts):
+        """The engine's per-entry kernel equals per-thread prepare_view
+        and the row-layout prepare_thread on every real entry."""
+        table, legacy, columnar = both_layouts
+        config = HydraConfig()
+        for lid in _windowable_loops(table, columnar):
+            eliminated = elimination_key(
+                compile_stl(table.by_id[lid], config))
+            for er, ev in zip(split_trace(legacy, lid),
+                              split_trace(columnar, lid)):
+                want = tuple(prepare_view(v, eliminated, ev.frame_id)
+                             for v in ev.threads)
+                assert classify_entry(ev, eliminated) == want, lid
+                assert tuple(prepare_thread(t.events, eliminated,
+                                            er.frame_id)
+                             for t in er.threads) == want, lid
+
+    def test_callee_locals_dropped(self):
+        """Locals of a frame other than the loop's never reach the
+        dependency or store lists, whatever their slot: frame ids are
+        unique per activation, so they cannot carry a cross-thread arc.
+        The callee's slot 2 collides with the loop's eliminated slot 2;
+        its slot 5 collides with nothing."""
+        legacy, columnar = RecordingListener(), ColumnarRecording()
+        both = MulticastListener([legacy, columnar])
+        loop_frame, callee = 1, 7
+        both.on_sloop(0, 8, 0, loop_frame)
+        for it in range(3):
+            base = 10 + 100 * it
+            both.on_local_load(loop_frame, 3, base)
+            both.on_local_load(loop_frame, 2, base + 1)   # eliminated
+            both.on_local_store(callee + it, 2, base + 2)
+            both.on_local_load(callee + it, 2, base + 3)
+            both.on_local_store(callee + it, 5, base + 4)
+            both.on_local_load(callee + it, 5, base + 5)
+            both.on_store(0x1000, base + 6)
+            both.on_local_store(loop_frame, 3, base + 7)
+            both.on_eoi(0, base + 90)
+        both.on_eloop(0, 400)
+
+        eliminated = frozenset({2})
+        [er] = split_trace(legacy, 0)
+        [ev] = split_trace(columnar, 0)
+        assert ev.frame_id == er.frame_id == loop_frame
+        got = classify_entry(ev, eliminated)
+        assert got == tuple(prepare_view(v, eliminated, loop_frame)
+                            for v in ev.threads)
+        assert got == tuple(prepare_thread(t.events, eliminated,
+                                           loop_frame)
+                            for t in er.threads)
+        kept = local_address(loop_frame, 3)
+        for dep_loads, stores, _ in got:
+            assert [a for _, a, local in dep_loads if local] == [kept]
+            assert [a for _, a, local in stores if local] == [kept]
 
 
 class TestSimulationEquivalence:
