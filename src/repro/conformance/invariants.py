@@ -56,11 +56,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.interpreter import run_program
 from repro.tls.engine import TraceEngine
-from repro.tls.simulator import (
-    elimination_key,
-    overflow_point,
-    prepare_view,
-)
+from repro.tls.simulator import elimination_key
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
 from repro.tracer.selector import select_stls
@@ -325,13 +321,15 @@ def check_source(source: str, seed: Optional[int] = None,
                    % (sel.loop_id, tls.sequential_cycles,
                       profiled.cycles), seed)
         # speculative-buffer limits: an overflow, if any, must land
-        # inside its thread's window
+        # inside its thread's window (the memoized points the
+        # simulator consumed)
         eliminated = elimination_key(comp)
         for entry in engine.split(sel.loop_id):
-            for thread in entry.threads:
-                _, _, heap_seq = prepare_view(thread, eliminated,
-                                              entry.frame_id)
-                ov = overflow_point(heap_seq, config)
+            points = engine.overflow_entry(
+                sel.loop_id, entry,
+                engine.prepare_entry(sel.loop_id, entry, eliminated),
+                config)
+            for thread, ov in zip(entry.threads, points):
                 if ov is not None and not 0 <= ov <= thread.size:
                     _raise(KIND_BUFFER_LIMIT,
                            "loop %d overflow at rel %d outside thread "

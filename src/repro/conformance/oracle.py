@@ -237,7 +237,7 @@ def conformance_row(name: str, category: str, report
         stls.append(STLConformance(
             sel.loop_id, sel.predicted_cycles, tls.parallel_cycles,
             sel.sequential_cycles,
-            model=getattr(sel, "model", "hydra-tls")))
+            model=sel.model))
     winner_predicted = winner_actual = None
     if stls:
         winner_predicted = max(
@@ -250,7 +250,7 @@ def conformance_row(name: str, category: str, report
         name, category, report.predicted_speedup,
         report.actual_speedup, report.coverage, stls,
         winner_predicted, winner_actual,
-        models=getattr(report, "models", None))
+        models=report.models)
 
 
 def oracle_task(workload: Workload, config: HydraConfig = DEFAULT_HYDRA,

@@ -134,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "daemon)")
     serve.add_argument("--replicas", type=int, default=2, metavar="K",
                        help="replica shards per key: the primary "
-                            "serves, the others are peeked on a "
-                            "result-cache miss and tried on failover "
+                            "serves and pushes each fresh result to "
+                            "the others, which are tried on failover "
                             "(default 2; capped at --shards)")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="resident worker processes (default 1 = "
@@ -471,12 +471,11 @@ def _serve_sharded(args) -> int:
     snapshot = frontend._final_snapshot or frontend.metrics_snapshot()
     counters = snapshot.get("aggregate", {}).get("counters", {})
     print("jrpm-serve drained and stopped after %.1fs: "
-          "%d analyses, %d coalesced, %d cached, %d peeked, %d shed"
+          "%d analyses, %d coalesced, %d cached, %d shed"
           % (snapshot.get("frontend", {}).get("uptime_s", 0.0),
              counters.get("analyze_completed", 0),
              counters.get("coalesced", 0),
              counters.get("result_cache_hits", 0),
-             counters.get("peek_hits", 0),
              counters.get("load_shed", 0)), flush=True)
     return 0
 

@@ -46,17 +46,12 @@ from repro.jrpm.slowdown import AnnotationCounter, SlowdownBreakdown
 from repro.lang.codegen import compile_source
 from repro.models import get_model, resolve_models
 from repro.runtime.costs import DEFAULT_COSTS, CostModel
-from repro.runtime.events import (
-    ColumnarRecording,
-    MulticastListener,
-    RecordingListener,
-)
+from repro.runtime.events import ColumnarRecording, MulticastListener
 from repro.runtime.interpreter import Interpreter, RunResult, run_program
 from repro.runtime.tracejit import resolve_trace_jit
 from repro.tls.engine import TraceEngine
-from repro.tls.simulator import TLSResult, simulate_stl
+from repro.tls.simulator import TLSResult
 from repro.tls.stats import ProgramTLSOutcome
-from repro.tls.thread_trace import split_trace
 from repro.tracer.device import TestDevice
 from repro.tracer.extended import ExtendedTestDevice
 from repro.tracer.selector import SelectionResult, select_stls
@@ -80,14 +75,14 @@ class JrpmReport:
         self.compilations: Dict[int, STLCompilation] = {}
         self.tls_results: Dict[int, TLSResult] = {}
         self.outcome: Optional[ProgramTLSOutcome] = None
-        #: the recorded event trace of the profiled run (columnar by
-        #: default); sweeps can replay it without re-profiling
-        self.recording = None
-        #: the trace engine the TLS replay ran through (None when the
-        #: legacy row recording was used or TLS was skipped)
+        #: the ColumnarRecording of the profiled run; sweeps can replay
+        #: it without re-profiling
+        self.recording: Optional[ColumnarRecording] = None
+        #: the trace engine the TLS replay ran through (None when TLS
+        #: was skipped)
         self.engine: Optional[TraceEngine] = None
         #: execution-model names that competed for each loop (None =
-        #: legacy hydra-tls-only run)
+        #: hydra-tls only, without per-model estimates)
         self.models: Optional[tuple] = None
 
     # -- headline numbers -------------------------------------------------
@@ -128,7 +123,6 @@ class Jrpm:
                  convergence_threshold: int = 1000,
                  max_instructions: int = 200_000_000,
                  cache: Optional[ArtifactCache] = None,
-                 columnar: bool = True,
                  stage_hook=None,
                  trace_jit: Optional[bool] = None,
                  models=None):
@@ -153,11 +147,6 @@ class Jrpm:
         #: dynamically (Section 5.2); None profiles the whole run
         self.convergence_threshold = convergence_threshold
         self.max_instructions = max_instructions
-        #: record the profiled run into the columnar (SoA) trace layout
-        #: and run the TLS replay through the memoizing TraceEngine;
-        #: False falls back to the legacy row-of-tuples recording (kept
-        #: for equivalence testing)
-        self.columnar = columnar
         #: optional callable invoked with each stage's name as it
         #: begins (before any cache fetch) — the fleet's fault-
         #: injection harness hangs off this
@@ -175,6 +164,46 @@ class Jrpm:
 
     def run(self, simulate_tls: bool = True) -> JrpmReport:
         """Execute the full pipeline; see the module docstring."""
+        report = self._profile(self.level)
+
+        # stage 3: select STLs (statistics are measured on the profiled
+        # run, whose cycle counts include annotation overhead; the same
+        # timebase is used for the TLS replay, keeping the comparison
+        # consistent)
+        report.selection = select_stls(
+            report.device, report.profiled.cycles, self.config,
+            min_speedup=self.min_speedup, models=self.models)
+        report.models = self.models
+
+        # stages 4 + 5: speculative recompilation + execution under
+        # each loop's winning model, replayed through the memoizing
+        # TraceEngine (zero-copy windows, kernels shared across every
+        # selected STL and across config sweeps against the same report)
+        if simulate_tls:
+            engine = report.engine = TraceEngine(report.recording)
+            for sel in report.selection.selected:
+                cand = report.candidates.by_id.get(sel.loop_id)
+                if cand is None:
+                    continue
+                comp = compile_stl(cand, self.config)
+                report.compilations[sel.loop_id] = comp
+                report.tls_results[sel.loop_id] = get_model(
+                    sel.model).simulate(comp, engine.split(sel.loop_id),
+                                        self.config, engine=engine)
+            report.outcome = ProgramTLSOutcome(
+                report.selection, report.tls_results)
+        return report
+
+    def measure_slowdown(self, level: AnnotationLevel
+                         ) -> SlowdownBreakdown:
+        """Run only the profiling-slowdown measurement at one annotation
+        level (Figure 6's bars): stages 1-2 of :meth:`run`."""
+        return self._profile(level).slowdown
+
+    def _profile(self, level: AnnotationLevel) -> JrpmReport:
+        """Stages 1-2 at annotation ``level``: compile, annotate, the
+        sequential baseline and the profiled run, each through the
+        artifact cache.  Returns a report filled up to ``slowdown``."""
         report = JrpmReport(self.name)
         cache = self.cache
         hook = self.stage_hook or (lambda stage: None)
@@ -215,10 +244,10 @@ class Jrpm:
         akey = annotated = None
         hit = False
         if cache is not None:
-            akey = cache_key(STAGE_ANNOTATE, ckey, self.level)
+            akey = cache_key(STAGE_ANNOTATE, ckey, level)
             hit, annotated = cache.fetch(STAGE_ANNOTATE, akey)
         if not hit:
-            annotated = annotate_program(program, candidates, self.level)
+            annotated = annotate_program(program, candidates, level)
             if cache is not None:
                 cache.store(STAGE_ANNOTATE, akey, annotated)
         report.annotated = annotated
@@ -246,8 +275,7 @@ class Jrpm:
         # stage 2: profiled run with TEST attached.  The key projects
         # the config onto the fields the device actually reads, so
         # selection-only knobs (n_cpus, Table 2 overheads) don't force
-        # a re-profile.  The trace layout is part of the key: columnar
-        # and row recordings are distinct artifacts.
+        # a re-profile.
         hook(STAGE_PROFILE)
         hit = False
         if cache is not None:
@@ -255,9 +283,7 @@ class Jrpm:
                 STAGE_PROFILE, akey, cost_model,
                 profile_config_key(self.config),
                 self.convergence_threshold, self.extended,
-                self.max_instructions,
-                "columnar" if self.columnar else "rows",
-                self.trace_jit,
+                self.max_instructions, self.trace_jit,
                 # artifact-format version: bumped whenever a stored
                 # artifact changes shape, so stale disk blobs miss
                 "art3")
@@ -271,8 +297,7 @@ class Jrpm:
             device.convergence_threshold = self.convergence_threshold
             for lid, cand in annotated.annotated_loops.items():
                 device.register_loop_locals(lid, cand.tracked_locals)
-            recording = ColumnarRecording() if self.columnar \
-                else RecordingListener()
+            recording = ColumnarRecording()
             listener = MulticastListener([device, recording])
             interp = Interpreter(
                 annotated.program, cost_model=self.cost_model,
@@ -303,75 +328,7 @@ class Jrpm:
                 "annotation changed program semantics (%r vs %r)"
                 % (report.profiled.return_value,
                    report.sequential.return_value))
-
-        # stage 3: select STLs (statistics are measured on the profiled
-        # run, whose cycle counts include annotation overhead; the same
-        # timebase is used for the TLS replay, keeping the comparison
-        # consistent)
-        report.selection = select_stls(
-            device, report.profiled.cycles, self.config,
-            min_speedup=self.min_speedup, models=self.models)
-        report.models = self.models
-
-        # stages 4 + 5: speculative recompilation + execution under
-        # each loop's winning model.  Columnar recordings replay
-        # through the memoizing TraceEngine (zero-copy windows, kernels
-        # shared across every selected STL and across config sweeps
-        # against the same report).
-        if simulate_tls:
-            engine = None
-            if isinstance(recording, ColumnarRecording):
-                engine = TraceEngine(recording)
-                report.engine = engine
-            for sel in report.selection.selected:
-                cand = report.candidates.by_id.get(sel.loop_id)
-                if cand is None:
-                    continue
-                comp = compile_stl(cand, self.config)
-                report.compilations[sel.loop_id] = comp
-                if self.models is not None:
-                    model = get_model(getattr(sel, "model", "hydra-tls"))
-                    entries = engine.split(sel.loop_id) \
-                        if engine is not None \
-                        else split_trace(recording, sel.loop_id)
-                    report.tls_results[sel.loop_id] = model.simulate(
-                        comp, entries, self.config, engine=engine)
-                elif engine is not None:
-                    report.tls_results[sel.loop_id] = engine.simulate(
-                        comp, self.config)
-                else:
-                    entries = split_trace(recording, sel.loop_id)
-                    report.tls_results[sel.loop_id] = simulate_stl(
-                        comp, entries, self.config)
-            report.outcome = ProgramTLSOutcome(
-                report.selection, report.tls_results)
         return report
-
-    def measure_slowdown(self, level: AnnotationLevel
-                         ) -> SlowdownBreakdown:
-        """Run only the profiling-slowdown measurement at one annotation
-        level (Figure 6's bars)."""
-        program = self._program if self._program is not None \
-            else compile_source(self._source)
-        candidates = find_candidates(program)
-        annotated = annotate_program(program, candidates, level)
-        base = run_program(program, cost_model=self.cost_model,
-                           max_instructions=self.max_instructions,
-                           trace_jit=self.trace_jit)
-        device = TestDevice(self.config)
-        device.convergence_threshold = self.convergence_threshold
-        for lid, cand in annotated.annotated_loops.items():
-            device.register_loop_locals(lid, cand.tracked_locals)
-        interp = Interpreter(
-            annotated.program, cost_model=self.cost_model,
-            listener=device,
-            max_instructions=self.max_instructions,
-            trace_jit=self.trace_jit)
-        runtime = ProfilingRuntime(annotated.program, interp)
-        device.on_converged = runtime.on_converged
-        profiled = interp.run()
-        return SlowdownBreakdown(base.cycles, profiled.cycles,
-                                 AnnotationCounter.from_device(device))
 
 
 def run_pipeline(source: str, name: str = "program",

@@ -44,7 +44,7 @@ def render_selection(report: JrpmReport, limit: int = 20) -> str:
             s.loop_id, st.cycles,
             100.0 * st.cycles / sel.total_cycles,
             st.threads, st.avg_thread_size, s.estimate.speedup,
-            getattr(s, "model", "hydra-tls")))
+            s.model))
     lines.append("%-6s %12d %8.1f%%" % (
         "serial", sel.serial_cycles,
         100.0 * sel.serial_cycles / sel.total_cycles
@@ -74,7 +74,7 @@ def render_predicted_vs_actual(report: JrpmReport) -> str:
 def render_models(report: JrpmReport) -> str:
     """Per-loop execution-model comparison: every competing model's
     estimate and the argmax winner (``jrpm run --models`` output)."""
-    requested = getattr(report, "models", None)
+    requested = report.models
     sel = report.selection
     if not requested:
         return "(multi-model selection was not run)"
@@ -85,9 +85,9 @@ def render_models(report: JrpmReport) -> str:
     selected_ids = {s.loop_id for s in sel.selected}
     for loop_id in sorted(sel.decisions):
         dec = sel.decisions[loop_id]
-        estimates = getattr(dec, "model_estimates", None) or {}
+        estimates = dec.model_estimates or {}
         row = "L%-5d %-11s %-9s" % (
-            loop_id, getattr(dec, "model", "hydra-tls"),
+            loop_id, dec.model,
             "yes" if loop_id in selected_ids else "no")
         for name in names:
             est = estimates.get(name)
@@ -133,7 +133,7 @@ def render_trace_jit(report: JrpmReport) -> str:
 
 def render_optimize_stats(report: JrpmReport) -> str:
     """Optimizer observability block: per-pass rewrite counters."""
-    stats = getattr(report, "optimize_stats", None)
+    stats = report.optimize_stats
     if not stats:
         return "(optimizer was not run)"
     lines = ["optimizer (%d rounds, %d rewrites)"
@@ -248,9 +248,7 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
             "avg_iters_per_entry": st.avg_iters_per_entry,
             "avg_thread_size": st.avg_thread_size,
             "predicted_speedup": s.estimate.speedup,
-            # getattr: selections unpickled from pre-v4 cache blobs
-            # predate the attribute
-            "model": getattr(s, "model", "hydra-tls"),
+            "model": s.model,
         })
     out: Dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -272,20 +270,18 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
         "predicted_vs_actual": None,
         "engine": None,
         "trace_jit": None,
-        # getattr: reports unpickled from pre-v3 cache blobs predate
-        # the attribute
-        "optimize_stats": getattr(report, "optimize_stats", None),
+        "optimize_stats": report.optimize_stats,
         "models": None,
     }
-    requested = getattr(report, "models", None)
+    requested = report.models
     if requested:
         per_loop = []
         counts: Dict[str, int] = {}
         selected_ids = {s.loop_id for s in sel.selected}
         for loop_id in sorted(sel.decisions):
             dec = sel.decisions[loop_id]
-            winner = getattr(dec, "model", "hydra-tls")
-            estimates = getattr(dec, "model_estimates", None) or {}
+            winner = dec.model
+            estimates = dec.model_estimates or {}
             chosen = loop_id in selected_ids
             # unselected loops stay sequential regardless of which
             # speculative model won their estimate comparison
@@ -325,7 +321,7 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
                 "predicted_speedup": _finite(pred),
                 "actual_speedup": _finite(actual),
                 "violations_per_thread": _finite(vrate),
-                "model": getattr(s, "model", "hydra-tls"),
+                "model": s.model,
             })
         out["predicted_vs_actual"] = {
             "predicted_normalized_time":

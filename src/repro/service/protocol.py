@@ -46,8 +46,8 @@ from repro.workloads.registry import Workload, get_workload, workload_names
 VALID_STAGES = ("profile", "tls")
 
 #: header the sharded frontend sets on a routed ``POST /analyze``:
-#: comma-separated ``host:port`` of the key's other replicas, which
-#: the owning shard may peek (``GET /peek/<key>``) before computing
+#: comma-separated ``host:port`` of the key's other replicas, to
+#: which the owning shard pushes each fresh result (``POST /push/<key>``)
 PEERS_HEADER = "X-Jrpm-Peers"
 
 #: response header the frontend adds naming the shard that served the
@@ -55,25 +55,10 @@ PEERS_HEADER = "X-Jrpm-Peers"
 SHARD_HEADER = "X-Jrpm-Shard"
 
 
-def peek_path(key: str) -> str:
-    """The shard-to-shard result-LRU peek endpoint for ``key``."""
-    return "/peek/" + key
-
-
-def parse_peek_path(path: str) -> Optional[str]:
-    """The key of a ``GET /peek/<key>`` path, or None if ``path`` is
-    not a peek request."""
-    if not path.startswith("/peek/"):
-        return None
-    key = path[len("/peek/"):]
-    return key or None
-
-
 def push_path(key: str) -> str:
     """The shard-to-shard result-push endpoint for ``key``: after a
     fresh compute, the owning shard POSTs the outcome here so its
-    replicas' LRUs are warm *before* any failover (peeking only heals
-    on a miss; pushing shrinks the cold window to zero)."""
+    replicas' LRUs are warm *before* any failover."""
     return "/push/" + key
 
 

@@ -19,9 +19,11 @@ clockwise of its hash, so adding one shard to an N-shard tier remaps
 only ~1/(N+1) of the key space and every other shard's caches stay
 warm on their key range.  The first K distinct shards clockwise are
 the key's *replica set*; the frontend forwards to the primary with the
-remaining replicas named in ``X-Jrpm-Peers``, and a shard that misses
-its result LRU peeks those replicas (``GET /peek/<key>``) before
-computing — the warm-handoff path across ring changes and failovers.
+remaining replicas named in ``X-Jrpm-Peers``, and the primary pushes
+each freshly computed result to those replicas (``POST /push/<key>``),
+so the next replica in line is warm when a failover reaches it.  The
+ring is fixed for the frontend's lifetime; a result computed while
+the push could not reach a replica is recomputed there on failover.
 
 The frontend aggregates ``/healthz`` (503 unless every shard answers
 ok) and ``/metrics`` (its own routing metrics, a per-shard breakdown,
@@ -119,8 +121,8 @@ class HashRing:
 
     def replicas(self, key: str, k: int) -> List[str]:
         """The first ``k`` distinct nodes clockwise from ``key``'s
-        point: the primary first, then its successors (the peek
-        targets).  Fewer than ``k`` when the ring is smaller."""
+        point: the primary first, then its successors (the push
+        and failover targets).  Fewer than ``k`` when the ring is smaller."""
         if not self._points:
             raise ValueError("hash ring is empty")
         want = min(k, len(self._nodes))

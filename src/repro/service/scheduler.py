@@ -232,12 +232,11 @@ class RequestScheduler:
             if entry.waiters <= 0:
                 self.metrics.inc("requests_abandoned")
 
-    # -- result-LRU peeking (cross-replica warm handoff) -----------------
+    # -- result LRU (cross-replica warm handoff) --------------------------
 
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached outcome for a raw content-addressed ``key``, or
-        None — no queueing, no coalescing; the shard-to-shard
-        ``GET /peek/<key>`` path and the pre-submit local check."""
+        None — a local LRU lookup, no queueing, no coalescing."""
         with self._cond:
             outcome = self._results.get(key)
             if outcome is not None:
@@ -245,8 +244,8 @@ class RequestScheduler:
             return outcome
 
     def install_result(self, key: str, outcome: Dict[str, Any]) -> None:
-        """Adopt a completed outcome fetched from a replica's result
-        LRU, so the local cache warms without recomputing."""
+        """Adopt a completed outcome pushed by a replica, so the local
+        result LRU warms without recomputing."""
         if outcome.get("status") != "ok" or self.result_cache_size <= 0:
             return
         with self._cond:
@@ -407,8 +406,7 @@ class RequestScheduler:
         """Fold one report's interpreter trace-JIT counters into the
         service metrics (surfaced on /metrics next to the trace-engine
         stats)."""
-        for result in (getattr(report, "sequential", None),
-                       getattr(report, "profiled", None)):
+        for result in (report.sequential, report.profiled):
             jit = getattr(result, "jit", None)
             if not jit:
                 continue
@@ -423,7 +421,7 @@ class RequestScheduler:
     def _merge_optimize(self, report) -> None:
         """Fold one report's optimizer pass counters into the service
         metrics (surfaced on /metrics as ``optimize_*``)."""
-        stats = getattr(report, "optimize_stats", None)
+        stats = report.optimize_stats
         if not stats:
             return
         for key, value in stats.items():
@@ -434,15 +432,13 @@ class RequestScheduler:
         service metrics (surfaced on /metrics as ``model_selected_*``
         and ``model_won_*``): how often each execution model won the
         argmax, and how often its winner was actually scheduled."""
-        if getattr(report, "models", None) is None:
+        if report.models is None:
             return
-        selection = getattr(report, "selection", None)
-        if selection is None:
-            return
+        selection = report.selection
         chosen = {s.loop_id for s in selection.selected}
         for loop_id in sorted(selection.decisions):
             decision = selection.decisions[loop_id]
-            winner = getattr(decision, "model", "hydra-tls")
+            winner = decision.model
             self.metrics.inc("model_won_%s" % winner)
             if loop_id in chosen:
                 self.metrics.inc("model_selected_%s" % winner)

@@ -16,10 +16,10 @@ Endpoints
     JSON snapshot).
 ``GET /workloads``
     The bundled workload names (what ``/analyze`` accepts).
-``GET /peek/<key>`` / ``POST /push/<key>``
-    Shard-to-shard result-LRU exchange: a shard peeks its replicas
-    before computing a missing key, and pushes each fresh result to
-    them so a failover target is warm before the primary dies.
+``POST /push/<key>``
+    Shard-to-shard result-LRU warming: a shard pushes each fresh
+    result to the key's replicas so a failover target is warm before
+    the primary dies.
 
 Shutdown sequence (SIGTERM/SIGINT or :meth:`AnalysisService.stop`):
 mark draining (healthz flips to 503, new /analyze gets 503) → drain
@@ -54,9 +54,7 @@ from repro.service.protocol import (
     ProtocolError,
     error_body,
     parse_analyze_request,
-    parse_peek_path,
     parse_push_path,
-    peek_path,
     push_path,
 )
 from repro.service.scheduler import (
@@ -73,9 +71,9 @@ DEFAULT_REQUEST_TIMEOUT = 600.0
 #: turn into an arbitrary allocation (413 instead)
 DEFAULT_MAX_BODY_BYTES = 1 << 20
 
-#: how long a shard waits on a replica's /peek before computing
-#: itself; peeking is an optimization and must stay cheap
-PEEK_TIMEOUT = 2.0
+#: how long a shard waits on a replica's /push before giving up on
+#: it; warming replicas is an optimization and must stay cheap
+REPLICA_TIMEOUT = 2.0
 
 
 class _BadBody(Exception):
@@ -167,16 +165,6 @@ class _Handler(JsonHandler):
             status = 200
             self._send_json(200, {"workloads": workload_names(
                 include_synthetic=True)})
-        elif parse_peek_path(path) is not None:
-            endpoint = "peek"
-            outcome = service.scheduler.peek(parse_peek_path(path))
-            if outcome is None:
-                status = 404
-                self._send_json(404, error_body("no cached result"))
-            else:
-                status = 200
-                service.metrics.inc("peek_served")
-                self._send_json(200, {"outcome": outcome})
         else:
             endpoint, status = "other", 404
             self._send_json(404, error_body("no such endpoint: %s"
@@ -306,9 +294,6 @@ class AnalysisService:
             request = parse_analyze_request(body)
         except ProtocolError as exc:
             return exc.status, error_body(str(exc)), None
-        if peers and not request.fresh \
-                and self.scheduler.peek(request.key) is None:
-            self._peek_replicas(request.key, peers)
         try:
             ticket = self.scheduler.submit(request)
         except QueueFullError as exc:
@@ -350,8 +335,6 @@ class AnalysisService:
         if peers and not ticket.cached and not ticket.coalesced:
             # freshly computed here: push the outcome to the key's
             # replicas so their LRUs are warm before any failover
-            # (peeking only heals on a miss; pushing closes the
-            # cold window entirely)
             self._push_replicas(request.key, outcome, peers)
         meta = {
             "cached": ticket.cached,
@@ -367,46 +350,14 @@ class AnalysisService:
                  "report": report, "meta": meta},
                 None)
 
-    def _peek_replicas(self, key: str, peers: str) -> bool:
-        """Ask the key's replica shards for a cached result before
-        computing; installs a hit into the local result LRU.
-
-        The warm-handoff path after a ring change: a shard newly made
-        primary for ``key`` peeks its successor (usually the old
-        primary), so adding a shard doesn't cold-start the remapped
-        key range.
-        """
-        for addr in peers.split(","):
-            host, _, port = addr.strip().rpartition(":")
-            if not host or not port.isdigit():
-                continue
-            conn = http.client.HTTPConnection(
-                host, int(port), timeout=PEEK_TIMEOUT)
-            try:
-                conn.request("GET", peek_path(key))
-                resp = conn.getresponse()
-                data = resp.read()
-                if resp.status == 200:
-                    outcome = json.loads(data)["outcome"]
-                    self.scheduler.install_result(key, outcome)
-                    self.metrics.inc("peek_hits")
-                    return True
-            except (OSError, ValueError, KeyError,
-                    http.client.HTTPException):
-                continue  # peeking is best-effort; compute locally
-            finally:
-                conn.close()
-        self.metrics.inc("peek_misses")
-        return False
-
     def _push_replicas(self, key: str, outcome: Dict[str, Any],
                        peers: str) -> int:
         """POST a freshly computed outcome to the key's replica shards
         (``POST /push/<key>``) so their result LRUs warm immediately.
 
-        Best-effort like peeking: a dead or slow replica costs one
-        bounded timeout and a ``replica_push_failures`` tick, never a
-        failed response.  Returns the number of replicas warmed.
+        Best-effort: a dead or slow replica costs one bounded timeout
+        and a ``replica_push_failures`` tick, never a failed response.
+        Returns the number of replicas warmed.
         """
         body = dumps_canonical({"outcome": outcome}).encode("utf-8")
         pushed = 0
@@ -415,7 +366,7 @@ class AnalysisService:
             if not host or not port.isdigit():
                 continue
             conn = http.client.HTTPConnection(
-                host, int(port), timeout=PEEK_TIMEOUT)
+                host, int(port), timeout=REPLICA_TIMEOUT)
             try:
                 conn.request(
                     "POST", push_path(key), body=body,

@@ -171,11 +171,11 @@ def main(argv=None) -> int:
           flush=True)
     service.serve_until_signal()
     snapshot = service.metrics.to_dict()
-    print("%s %d drained: %d analyses, %d cached, %d peek hits"
+    print("%s %d drained: %d analyses, %d cached"
           % (BANNER, args.index,
              snapshot["counters"].get("analyze_completed", 0),
-             snapshot["counters"].get("result_cache_hits", 0),
-             snapshot["counters"].get("peek_hits", 0)), flush=True)
+             snapshot["counters"].get("result_cache_hits", 0)),
+          flush=True)
     return 0
 
 

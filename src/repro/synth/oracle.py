@@ -111,8 +111,7 @@ def check_label(workload, report) -> LabelRow:
     label).
     """
     selected_models = sorted({
-        getattr(sel, "model", "hydra-tls")
-        for sel in report.selection.selected})
+        sel.model for sel in report.selection.selected})
     return LabelRow(
         workload.name, workload.label.to_dict(),
         report.predicted_speedup, report.actual_speedup,

@@ -17,12 +17,12 @@ Two trace layouts are supported:
   the cycle index (the interpreter's clock only increases), so no
   per-call index rebuild and no per-thread event materialization
   happen at all;
-* the legacy row-of-tuples :class:`~repro.runtime.events.
-  RecordingListener` (the reference path): every mark is walked and
-  threads materialize :class:`ThreadEvent` lists.
-  Its cycle index is built once per recording and cached (selection
-  simulates several STLs against the same recording), keyed by the
-  event count so a recording that keeps growing is re-indexed.
+* the row-of-tuples :class:`~repro.runtime.events.RecordingListener`:
+  every mark is walked and threads materialize :class:`ThreadEvent`
+  lists.  The pipeline always records columns; this path is the test
+  reference the columnar windows are checked against.  Its cycle index
+  is built once per recording and cached, keyed by the event count so
+  a recording that keeps growing is re-indexed.
 """
 
 from __future__ import annotations

@@ -70,8 +70,8 @@ class SelectedSTL:
         self.loop_id = decision.loop_id
         self.stats = decision.stats
         self.estimate = decision.estimate
-        self.model = getattr(decision, "model", "hydra-tls")
-        self.model_estimates = getattr(decision, "model_estimates", None)
+        self.model = decision.model
+        self.model_estimates = decision.model_estimates
 
     @property
     def sequential_cycles(self) -> int:

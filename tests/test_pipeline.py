@@ -17,6 +17,7 @@ from repro.jrpm import (
 from repro.lang import compile_source
 from repro.runtime import run_program
 from repro.tracer import SoftwareProfiler
+from repro.workloads.registry import get_workload
 
 from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
 
@@ -85,6 +86,18 @@ class TestPipeline:
         base = jrpm.measure_slowdown(AnnotationLevel.BASE)
         opt = jrpm.measure_slowdown(AnnotationLevel.OPTIMIZED)
         assert base.slowdown > opt.slowdown > 1.0
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_measure_slowdown_matches_run(self, optimize):
+        """Figure 6's bars come from the same stages 1-2 as ``run``,
+        optimizer included."""
+        jrpm = Jrpm(source=get_workload("Huffman").source(),
+                    optimize=optimize)
+        bd = jrpm.measure_slowdown(jrpm.level)
+        ran = jrpm.run(simulate_tls=False).slowdown
+        assert bd.slowdown == ran.slowdown
+        assert bd.extra_cycles == ran.extra_cycles
+        assert vars(bd) == vars(ran)
 
     def test_slowdown_components_sum(self):
         jrpm = Jrpm(source=HUFFMAN_SOURCE)

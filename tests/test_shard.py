@@ -1,7 +1,7 @@
 """Tests for the sharded serving tier: the consistent-hash ring
 (stability, balance, replica sets), the routing frontend end to end
 (byte-identity with a single-shard daemon, stable routing, metrics and
-health aggregation), cross-replica result-LRU peeking, and the
+health aggregation), cross-replica result pushes, and the
 ``jrpm serve --shards N`` process."""
 
 from __future__ import annotations
@@ -175,34 +175,6 @@ class TestShardedFrontend:
         # rejected at the frontend: no shard saw it
         assert "X-Jrpm-Shard" not in headers
 
-    def test_peek_warms_the_new_primary(self, frontend):
-        """Cross-replica result-LRU peeking: when a key's primary
-        misses, it asks the secondary replica before computing — the
-        warm-handoff path for ring changes and failovers."""
-        body = {"workload": "BitOps", "stages": ["profile"],
-                "config": {"n_cpus": 6}}
-        request = parse_analyze_request(json.dumps(body).encode())
-        primary, secondary = frontend.ring.replicas(request.key, 2)
-        # plant the result on the SECONDARY by asking it directly
-        sec_host, sec_port = frontend.shard_addrs[secondary]
-        status, planted, _ = _request(sec_port, "POST", "/analyze",
-                                      body=body, host=sec_host)
-        assert status == 200
-        # now route through the frontend: the primary has never seen
-        # this key, peeks the secondary, and serves without computing
-        started = time.perf_counter()
-        status, served, headers = _request(frontend.port, "POST",
-                                           "/analyze", body=body)
-        elapsed = time.perf_counter() - started
-        assert status == 200
-        assert headers["X-Jrpm-Shard"] == primary
-        assert served["meta"]["cached"]
-        assert served["report"] == planted["report"]
-        assert elapsed < 2.5  # served from a replica LRU, not computed
-        snap = frontend.metrics_snapshot()
-        assert snap["shards"][primary]["counters"]["peek_hits"] >= 1
-        assert snap["shards"][secondary]["counters"]["peek_served"] >= 1
-
     def test_metrics_aggregation(self, frontend):
         status, snap, _ = _request(
             frontend.port, "GET", "/metrics",
@@ -251,10 +223,10 @@ class TestShardedFrontend:
 
 class TestFrontendFailover:
     def test_result_push_warms_secondary_before_failover(self):
-        """Satellite to peeking: a fresh compute PUSHES its result to
-        the replica set, so when the primary later dies the secondary
-        serves the key from its own LRU — cached, no recompute, no
-        peek dependence on the (dead) primary."""
+        """Push-only replica warming: a fresh compute PUSHES its result
+        to the replica set, so when the primary later dies the
+        secondary serves the key from its own LRU — cached, no
+        recompute, no dependence on the (dead) primary."""
         fe = ShardedFrontend(port=0, shards=2, replicas=2).start()
         try:
             body = {"workload": "BitOps", "stages": ["profile"],

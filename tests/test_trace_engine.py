@@ -1,4 +1,4 @@
-"""Columnar trace engine: equivalence with the legacy row path and
+"""Columnar trace engine: equivalence with the row reference path and
 determinism of the memoized kernels.
 
 The columnar pipeline (``ColumnarRecording`` -> zero-copy
@@ -17,8 +17,11 @@ from repro.errors import SimulationError
 from repro.hydra import HydraConfig
 from repro.jit import annotate_program, compile_stl
 from repro.jrpm import Jrpm
+from repro.jrpm.runtime import ProfilingRuntime
 from repro.lang import compile_source
+from repro.models import get_model
 from repro.runtime import run_program
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.events import (
     ColumnarRecording,
     MulticastListener,
@@ -37,6 +40,7 @@ from repro.tls.simulator import (
     prepare_thread,
     prepare_view,
 )
+from repro.tracer.device import TestDevice
 from repro.workloads.registry import get_workload
 
 from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
@@ -228,21 +232,37 @@ class TestSimulationEquivalence:
                 cols = engine.simulate(comp, config)
                 assert vars(rows) == vars(cols), (lid, config)
 
-    def test_pipeline_outcomes_identical(self):
-        reports = {
-            columnar: Jrpm(source=HUFFMAN_SOURCE, name="hn",
-                           columnar=columnar).run()
-            for columnar in (False, True)
-        }
-        legacy, engine = reports[False], reports[True]
-        assert engine.engine is not None and legacy.engine is None
-        assert set(legacy.tls_results) == set(engine.tls_results)
-        for lid, rows in legacy.tls_results.items():
-            assert vars(rows) == vars(engine.tls_results[lid])
-        assert legacy.outcome.actual_normalized_time == \
-            engine.outcome.actual_normalized_time
-        assert legacy.outcome.predicted_normalized_time == \
-            engine.outcome.predicted_normalized_time
+    def test_pipeline_matches_row_reference(self):
+        """Stage 5's one path (model registry over the TraceEngine)
+        reproduces the row reference: the same profiled run recorded
+        by a RecordingListener, split by rows and simulated without an
+        engine, gives every selected loop's TLSResult exactly."""
+        config = HydraConfig()
+        program = compile_source(HUFFMAN_SOURCE)
+        ann = annotate_program(program, find_candidates(program))
+        device = TestDevice(config)
+        device.convergence_threshold = 1000
+        for lid, cand in ann.annotated_loops.items():
+            device.register_loop_locals(lid, cand.tracked_locals)
+        rows = RecordingListener()
+        interp = Interpreter(ann.program,
+                             listener=MulticastListener([device, rows]))
+        device.on_converged = ProfilingRuntime(
+            ann.program, interp).on_converged
+        interp.run()
+        for models in (None, "all"):
+            report = Jrpm(source=HUFFMAN_SOURCE, name="hn", config=config,
+                          convergence_threshold=1000,
+                          models=models).run()
+            assert list(report.recording.events()) == rows.mem
+            assert report.engine is not None and report.tls_results
+            for sel in report.selection.selected:
+                comp = compile_stl(
+                    report.candidates.by_id[sel.loop_id], config)
+                ref = get_model(sel.model).simulate(
+                    comp, split_trace(rows, sel.loop_id), config)
+                assert vars(ref) == vars(
+                    report.tls_results[sel.loop_id]), (models, sel.loop_id)
 
 
 class TestMemoDeterminism:
