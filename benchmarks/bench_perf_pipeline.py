@@ -282,7 +282,7 @@ def _time_analysis_sweep() -> Dict:
     for config in ANALYSIS_SWEEP:
         for lid in loops:
             comp = compile_stl(candidates.by_id[lid], config)
-            engine.simulate(comp, config)
+            simulate_stl(comp, engine.split(lid), config, engine=engine)
     engine_s = time.perf_counter() - start
 
     return {

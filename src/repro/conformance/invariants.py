@@ -56,7 +56,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.interpreter import run_program
 from repro.tls.engine import TraceEngine
-from repro.tls.simulator import elimination_key
+from repro.tls.simulator import elimination_key, simulate_stl
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
 from repro.tracer.selector import select_stls
@@ -308,7 +308,8 @@ def check_source(source: str, seed: Optional[int] = None,
         if cand is None:
             continue
         comp = compile_stl(cand, config)
-        tls = engine.simulate(comp, config)
+        tls = simulate_stl(comp, engine.split(sel.loop_id), config,
+                           engine=engine)
         tls_results[sel.loop_id] = tls
         outcome.tls_simulated += 1
         errs = tls.invariant_errors(config)

@@ -14,9 +14,12 @@ Defaults reproduce the paper exactly:
   timestamps, and one of local-variable store timestamps.
 * Four single-issue cores (speedup is capped at ``n_cpus``).
 
-All values are constructor parameters so ablation benches can sweep
-them (the paper itself notes future Hydras with larger buffers would
-change STL selection).
+The 32 B line is the simulator-wide
+:data:`~repro.runtime.heap.LINE_SIZE`, shared by the heap allocator,
+the TEST device and the replay kernels.  Every other value is a
+constructor parameter so ablation benches can sweep it (the paper
+itself notes future Hydras with larger buffers would change STL
+selection).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class HydraConfig:
     def __init__(
         self,
         n_cpus: int = 4,
-        line_size: int = LINE_SIZE,
         # Table 1
         load_buffer_lines: int = 512,
         load_buffer_assoc: int = 4,
@@ -51,10 +53,7 @@ class HydraConfig:
     ):
         if n_cpus < 2:
             raise ValueError("a speculative CMP needs at least 2 CPUs")
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ValueError("line_size must be a positive power of two")
         self.n_cpus = n_cpus
-        self.line_size = line_size
         self.load_buffer_lines = load_buffer_lines
         self.load_buffer_assoc = load_buffer_assoc
         self.store_buffer_lines = store_buffer_lines
@@ -74,22 +73,22 @@ class HydraConfig:
     @property
     def load_buffer_bytes(self) -> int:
         """Table 1: per-thread speculative-read capacity (16 kB)."""
-        return self.load_buffer_lines * self.line_size
+        return self.load_buffer_lines * LINE_SIZE
 
     @property
     def store_buffer_bytes(self) -> int:
         """Table 1: per-thread store-buffer capacity (2 kB)."""
-        return self.store_buffer_lines * self.line_size
+        return self.store_buffer_lines * LINE_SIZE
 
     @property
     def heap_ts_history_bytes(self) -> int:
         """Section 5.3: bytes of heap write history during profiling."""
-        return self.heap_ts_fifo_lines * self.line_size
+        return self.heap_ts_fifo_lines * LINE_SIZE
 
     @property
     def heap_ts_fifo_entries(self) -> int:
         """Word-granularity heap store-timestamp capacity."""
-        return self.heap_ts_fifo_lines * (self.line_size // 4)
+        return self.heap_ts_fifo_lines * (LINE_SIZE // 4)
 
     def buffer_limits_table(self):
         """Rows of Table 1 as (buffer, per-thread limit, associativity)."""
@@ -97,12 +96,12 @@ class HydraConfig:
             ("Load buffer",
              "%dkB (%d lines x %dB)" % (self.load_buffer_bytes // 1024,
                                         self.load_buffer_lines,
-                                        self.line_size),
+                                        LINE_SIZE),
              "%d-way" % self.load_buffer_assoc),
             ("Store buffer",
              "%dkB (%d lines x %dB)" % (self.store_buffer_bytes // 1024,
                                         self.store_buffer_lines,
-                                        self.line_size),
+                                        LINE_SIZE),
              "Fully"),
         ]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import List, NamedTuple
 
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
+from repro.runtime.heap import LINE_SIZE
 
 SRAM_T_PER_BIT = 6
 CAM_T_PER_BIT = 10
@@ -63,10 +64,10 @@ def sram_transistors(data_bytes: int, tag_bits_per_line: int = 0,
 def l1_pair_transistors(config: HydraConfig) -> int:
     """One CPU's 16 kB I-cache + 16 kB D-cache with speculation tag bits."""
     icache = sram_transistors(16 * 1024, tag_bits_per_line=20,
-                              n_lines=16 * 1024 // config.line_size)
+                              n_lines=16 * 1024 // LINE_SIZE)
     # D-cache lines carry extra speculative read/modified tag bits
     dcache = sram_transistors(16 * 1024, tag_bits_per_line=20 + 10,
-                              n_lines=16 * 1024 // config.line_size)
+                              n_lines=16 * 1024 // LINE_SIZE)
     return icache + dcache
 
 
@@ -77,11 +78,11 @@ def l2_transistors() -> int:
 
 def write_buffer_transistors(config: HydraConfig) -> int:
     """One 2 kB speculative store buffer: SRAM data + CAM tags + state."""
-    data = config.store_buffer_lines * config.line_size * 8 * SRAM_T_PER_BIT
+    data = config.store_buffer_lines * LINE_SIZE * 8 * SRAM_T_PER_BIT
     tag_bits = 27  # line address tag for fully associative match
     cam = config.store_buffer_lines * tag_bits * CAM_T_PER_BIT
     # per-line valid bits + byte write masks
-    state = config.store_buffer_lines * (config.line_size + 2) * REG_T_PER_BIT
+    state = config.store_buffer_lines * (LINE_SIZE + 2) * REG_T_PER_BIT
     control = 0.35 * (data + cam + state)  # priority encode, drain logic
     return int(data + cam + state + control)
 

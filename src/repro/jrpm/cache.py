@@ -80,7 +80,6 @@ STAGES = (STAGE_COMPILE, STAGE_ANNOTATE, STAGE_SEQUENTIAL, STAGE_PROFILE)
 #: ``n_cpus``, the Table 2 overheads, and the load-buffer associativity
 #: feed only selection / TLS replay, so changing them keeps the profile.
 PROFILE_CONFIG_FIELDS = (
-    "line_size",
     "heap_ts_fifo_lines",
     "local_ts_lines",
     "line_ts_ld_entries",

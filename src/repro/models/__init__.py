@@ -7,6 +7,8 @@ estimates, so the paper's backend keeps a loop when DOACROSS merely
 ties it).
 """
 
+from repro.tls.predictor import LiveInPredictor
+
 from repro.models.base import (
     DEFAULT_MODEL,
     SpeculationModel,
@@ -19,12 +21,10 @@ from repro.models.doacross import (
     DoacrossEstimate,
     DoacrossModel,
     DoacrossResult,
-    DoacrossSimulator,
     estimate_doacross,
     simulate_doacross,
 )
 from repro.models.hydra_tls import HydraTLSModel
-from repro.models.predictor import LiveInPredictor
 from repro.models.sequential import SequentialModel
 
 register_model(SequentialModel())
@@ -43,7 +43,6 @@ __all__ = [
     "DoacrossModel",
     "DoacrossEstimate",
     "DoacrossResult",
-    "DoacrossSimulator",
     "estimate_doacross",
     "simulate_doacross",
     "LiveInPredictor",

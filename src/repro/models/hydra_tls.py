@@ -1,8 +1,9 @@
 """The paper's execution model, wrapped as a pluggable backend.
 
-Delegates to the existing Eq. 1 estimator and the Hydra TLS trace
-simulator unchanged, so a run with models enabled produces exactly the
-numbers a legacy run produces for every loop that picks ``hydra-tls``.
+Delegates to the existing Eq. 1 estimator and to the trace simulator's
+restart-on-violation dependence policy unchanged, so a run with models
+enabled produces exactly the numbers a legacy run produces for every
+loop that picks ``hydra-tls``.
 """
 
 from repro.hydra.config import DEFAULT_HYDRA

@@ -6,7 +6,7 @@ from repro.tls.engine import TraceEngine, TraceEngineStats
 from repro.tls.simulator import (
     EntryResult,
     TLSResult,
-    TLSSimulator,
+    TraceSimulator,
     simulate_stl,
 )
 from repro.tls.stats import ProgramTLSOutcome
@@ -25,12 +25,12 @@ __all__ = [
     "EntryTrace",
     "ProgramTLSOutcome",
     "TLSResult",
-    "TLSSimulator",
     "ThreadEvent",
     "ThreadTrace",
     "ThreadView",
     "TraceEngine",
     "TraceEngineStats",
+    "TraceSimulator",
     "local_frame_of",
     "local_slot_of",
     "simulate_stl",

@@ -2,16 +2,25 @@
 observability.
 
 One :class:`TraceEngine` wraps one
-:class:`~repro.runtime.events.ColumnarRecording` and serves every
-analysis the back half of the Jrpm pipeline runs against it:
+:class:`~repro.runtime.events.ColumnarRecording` and serves the
+per-thread kernels of every model replay the back half of the Jrpm
+pipeline runs against it:
 
 * ``split(loop_id)`` — zero-copy thread windowing, computed once per
   loop (the shared cycle index is the sorted ``cycles`` column itself);
-* ``prepare(view, eliminated)`` — per-thread classification (drop
-  eliminated locals, own-store forwarding, heap projection), memoized
-  per ``(thread window, eliminated-slot set)``;
-* ``overflow(view, heap_seq, config)`` — first speculative-buffer
-  overflow, memoized per ``(thread window, Table 1 buffer geometry)``.
+* ``prepare_entry(loop_id, entry, eliminated)`` — classification of
+  every thread of one entry (drop eliminated locals, own-store
+  forwarding, heap projection), memoized per ``(entry window,
+  eliminated-slot set)``;
+* ``overflow_entry(loop_id, entry, prepared, config)`` — first
+  speculative-buffer overflow of every thread of one entry, memoized
+  per ``(entry window, Table 1 buffer geometry)``; only the
+  restart-on-violation policy asks for it.
+
+The replay itself —
+:class:`~repro.tls.simulator.TraceSimulator`, attached with
+``engine=`` — calls these kernels and books its scheduling loop under
+the ``resolve`` phase.
 
 The memo keys are *projections* of what each kernel actually reads —
 the same trick :mod:`repro.jrpm.cache` plays with
@@ -33,8 +42,7 @@ from itertools import islice
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
-from repro.jit.speculative import STLCompilation
+from repro.hydra.config import HydraConfig
 from repro.runtime.events import (
     KIND_LD,
     KIND_LLD,
@@ -43,7 +51,7 @@ from repro.runtime.events import (
     local_address,
 )
 from repro.runtime.heap import LINE_SIZE
-from repro.tls.simulator import TLSResult, TLSSimulator, overflow_point
+from repro.tls.simulator import overflow_point
 from repro.tls.thread_trace import EntryTrace, split_trace
 
 #: kernel names, in pipeline order
@@ -260,12 +268,3 @@ class TraceEngine:
         stats.calls["overflow"] += 1
         self._overflows[key] = points
         return points
-
-    # -- convenience -----------------------------------------------------
-
-    def simulate(self, compilation: STLCompilation,
-                 config: HydraConfig = DEFAULT_HYDRA) -> TLSResult:
-        """Split + simulate one STL with every kernel memoized."""
-        entries = self.split(compilation.loop_id)
-        return TLSSimulator(compilation, config, engine=self) \
-            .simulate(entries)

@@ -1,31 +1,42 @@
-"""Trace-driven TLS timing simulator for Hydra (the "Actual" series of
-Figure 11).
+"""Trace-driven speculative-execution simulator for Hydra (the "Actual"
+series of Figure 11).
 
 Given the thread traces of one selected STL and its speculative
-compilation summary, the simulator schedules the threads over the CMP's
-``p`` CPUs under Hydra's rules:
+compilation summary, :class:`TraceSimulator` schedules the threads over
+the CMP's ``p`` CPUs.  Both speculative models replay through its one
+per-entry loop:
 
 * threads are dispatched in sequential order, round-robin over CPUs; a
-  CPU is busy until its previous thread *commits* (speculative state
-  must drain first);
-* a RAW violation — a speculative thread loaded an address before an
-  earlier thread's store to it — restarts the consumer at the store
-  time plus the Table 2 violation/restart penalty;
+  CPU is busy until its previous thread *commits*, and threads commit
+  in order; loop startup/shutdown and per-thread EOI overheads from
+  Table 2 are charged;
 * compiler-eliminated locals (inductors, reductions, invariants) never
-  conflict; globalized (forwarded) locals synchronize with the
-  store-load communication delay instead of violating;
-* loads a thread's own store already covered do not violate (the store
-  buffer forwards them);
-* per-thread speculative state is tracked in a true 4-way LRU model of
-  the L1 read state and a fully associative store-buffer model; when a
-  thread overflows, it stalls at the overflow point until it becomes the
-  head (non-speculative) thread — stores after the overflow point drain
-  only once the thread resumes, and are published at those drained
-  times;
-* threads commit in order; loop startup/shutdown and per-thread EOI
-  overheads from Table 2 are charged.
+  conflict, and loads a thread's own store already covered never leave
+  its store buffer;
+* globalized (forwarded) locals synchronize with the store-load
+  communication delay.
 
-Because the estimator works from *averaged* statistics while this
+The model fixes the *dependence policy* for the rest:
+
+* Restart-on-violation (Hydra TLS, the default).  A RAW violation — a
+  speculative thread loaded a heap address before an earlier thread's
+  store to it — restarts the consumer at the store time plus the
+  Table 2 violation/restart penalty, unless the compilation applies
+  the Section 6.3 ``synchronize_heap`` optimization, which makes heap
+  arcs wait like locals.  Per-thread speculative state is tracked in a
+  true 4-way LRU model of the L1 read state and a fully associative
+  store-buffer model; a thread that overflows stalls at the overflow
+  point until it becomes the head thread, and its stores after that
+  point are published at their drained times.
+* Post/wait (``post_wait=True``: speculative DOACROSS, see
+  :mod:`repro.models.doacross`).  Every cross-thread arc waits for its
+  producer's post.  One :class:`~repro.tls.predictor.LiveInPredictor`,
+  shared across the STL's entries, gates local arcs: a correct
+  confident prediction skips the wait, a wrong one waits and pays the
+  restart penalty on top.  Iterations commit as they go, so nothing
+  overflows.
+
+Because the estimators work from *averaged* statistics while this
 simulator replays the *actual* per-iteration behaviour (thread-size
 variance, real violation timing, associativity), their disagreement
 reproduces the imprecision effects of Section 6.2.
@@ -49,18 +60,19 @@ and re-runs on every sweep point.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hydra.cache import FullyAssocBuffer, SetAssocCache
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.jit.speculative import STLCompilation
-from repro.runtime.events import KIND_LD, KIND_LLD, KIND_LST, KIND_ST
+from repro.runtime.events import KIND_LD, KIND_LLD, KIND_ST
 from repro.runtime.heap import line_of
+from repro.tls.predictor import LiveInPredictor
 from repro.tls.thread_trace import (
     LOCAL_ADDRESS_BASE,
     EntryTrace,
-    ThreadTrace,
     ThreadView,
     local_frame_of,
     local_slot_of,
@@ -169,6 +181,39 @@ class TLSResult:
         return ("<TLSResult L%d %.2fx viol/thread=%.3f ovf=%d>"
                 % (self.loop_id, self.speedup, self.violation_rate,
                    self.overflows))
+
+
+class DoacrossResult(TLSResult):
+    """TLS-shaped aggregate with post/wait and predictor accounting.
+
+    ``violations`` counts live-in mispredictions (each charges the
+    restart penalty, the DOACROSS analogue of a TLS violation);
+    ``overflows`` is structurally zero.
+    """
+
+    model = "doacross"
+
+    def __init__(self, loop_id):
+        TLSResult.__init__(self, loop_id)
+        #: arcs synchronized by a plain post/wait — every heap arc and
+        #: every local arc without a confident prediction — counted
+        #: whether or not the wait delayed the consumer
+        self.posts = 0
+        #: confident live-in predictions consumed by a waiter
+        self.predictions = 0
+        #: of those, predictions that were correct (wait skipped)
+        self.predicted_hits = 0
+
+    @property
+    def prediction_hit_rate(self):
+        if self.predictions == 0:
+            return 0.0
+        return self.predicted_hits / self.predictions
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return ("<DoacrossResult L%d %.2fx posts=%d pred=%d/%d>"
+                % (self.loop_id, self.speedup, self.posts,
+                   self.predicted_hits, self.predictions))
 
 
 #: classification kernel output: own-filtered dependency loads, stores
@@ -291,8 +336,9 @@ def overflow_point(heap_seq, config: HydraConfig) -> Optional[int]:
     return None
 
 
-class TLSSimulator:
-    """Schedules one STL's thread traces onto the speculative CMP.
+class TraceSimulator:
+    """Replays one STL's thread traces on the CMP under one dependence
+    policy (see the module docstring).
 
     With ``engine`` attached (a :class:`~repro.tls.engine.TraceEngine`
     over the columnar recording the entries were split from), the
@@ -302,163 +348,178 @@ class TLSSimulator:
 
     def __init__(self, compilation: STLCompilation,
                  config: HydraConfig = DEFAULT_HYDRA,
-                 engine=None):
+                 engine=None, post_wait: bool = False):
         self.compilation = compilation
         self.config = config
         self.engine = engine
+        #: dependence policy: post/wait (DOACROSS) when set, else
+        #: restart-on-violation (Hydra TLS)
+        self.post_wait = post_wait
         self._eliminated = elimination_key(compilation)
 
-    # -- public API ----------------------------------------------------------
-
     def simulate(self, entries: List[EntryTrace]) -> TLSResult:
-        """Simulate every entry of the STL."""
-        result = TLSResult(self.compilation.loop_id)
+        """Simulate every entry of the STL.  Post/wait shares one
+        live-in predictor across the entries, so it warms on early
+        entries exactly as a persistent hardware table would."""
+        loop_id = self.compilation.loop_id
+        if self.post_wait:
+            result = DoacrossResult(loop_id)
+            predictor = LiveInPredictor()
+        else:
+            result = TLSResult(loop_id)
+            predictor = None
         engine = self.engine
         if engine is None:
             for entry in entries:
-                result.add(self.simulate_entry(entry))
+                self._simulate_entry(entry, result, predictor)
             return result
         with engine.stats.timed_exclusive("resolve"):
             for entry in entries:
-                result.add(self.simulate_entry(entry))
+                self._simulate_entry(entry, result, predictor)
         return result
 
-    def simulate_entry(self, entry: EntryTrace) -> EntryResult:
+    def _simulate_entry(self, entry: EntryTrace, result: TLSResult,
+                        predictor: Optional[LiveInPredictor]) -> None:
         cfg = self.config
-        p = cfg.n_cpus
         threads = entry.threads
         n = len(threads)
         if n == 0:
-            return EntryResult(0, entry.total_cycles, 0, 0, 0)
+            result.add(EntryResult(0, entry.total_cycles, 0, 0, 0))
+            return
 
         engine = self.engine
         eliminated = self._eliminated
-        if engine is not None and type(threads[0]) is ThreadView:
-            loop_id = self.compilation.loop_id
-            prepared = engine.prepare_entry(loop_id, entry, eliminated)
-            overflow_ats = engine.overflow_entry(
-                loop_id, entry, prepared, cfg)
+        memoized = engine is not None and type(threads[0]) is ThreadView
+        if memoized:
+            prepared = engine.prepare_entry(
+                self.compilation.loop_id, entry, eliminated)
         else:
-            prepared = [self._prepare_local(t, entry.frame_id)
-                        for t in threads]
+            frame_id = entry.frame_id
+            prepared = [
+                prepare_view(t, eliminated, frame_id)
+                if type(t) is ThreadView
+                else prepare_thread(t.events, eliminated, frame_id)
+                for t in threads]
+        if self.post_wait:
+            # iterations commit as they go: no speculative buffer
+            overflow_ats = repeat(None, n)
+        elif memoized:
+            overflow_ats = engine.overflow_entry(
+                self.compilation.loop_id, entry, prepared, cfg)
+        else:
             overflow_ats = [overflow_point(p[2], cfg) for p in prepared]
 
-        #: address -> (producer thread index, absolute store time, local?)
-        last_store: Dict[int, Tuple[int, int, bool]] = {}
+        p = cfg.n_cpus
+        comm = cfg.store_load_comm_overhead
+        restart = cfg.violation_restart_overhead
+        eoi = cfg.eoi_overhead
+        # post/wait waits on every heap arc; restart-on-violation does
+        # only under the Section 6.3 synchronization optimization
+        wait_heap = self.post_wait or self.compilation.synchronize_heap
+        consume = predictor.consume if predictor is not None else None
+
+        #: address -> absolute time its latest store became visible
+        last_store: Dict[int, int] = {}
         cpu_free = [0] * p
         commit_prev = 0
-        clock0 = cfg.startup_overhead  # loop startup before thread 0
-        prev_start = clock0
-        violations = 0
-        overflows = 0
+        prev_start = cfg.startup_overhead  # loop startup before thread 0
+        violations = overflows = posts = hits = 0
 
-        for j, thread in enumerate(threads):
-            dep_loads, stores, heap_seq = prepared[j]
-            overflow_at = overflow_ats[j]
+        for j, (thread, (dep_loads, stores, _), overflow_at) in \
+                enumerate(zip(threads, prepared, overflow_ats)):
+            start = max(cpu_free[j % p], prev_start)
 
-            base = max(cpu_free[j % p], prev_start)
-            if j == 0:
-                base = max(base, clock0)
-            start, restarts = self._resolve_start(
-                base, dep_loads, last_store, j)
-            violations += restarts
+            # Locals, and heap arcs under ``wait_heap``, wait for the
+            # producer's store plus the store-load communication delay.
+            # A confident live-in prediction skips the wait when right,
+            # and waits and restarts from the load when wrong.
+            heap_deps = []
+            for rel, addr, is_local in dep_loads:
+                store_abs = last_store.get(addr)
+                if store_abs is None:
+                    continue
+                if not (is_local or wait_heap):
+                    heap_deps.append((rel, store_abs))
+                    continue
+                need = store_abs + comm - rel
+                if is_local and consume is not None:
+                    outcome = consume(addr)
+                    if outcome == "hit":
+                        hits += 1
+                        continue
+                    if outcome == "miss":
+                        violations += 1
+                        need += restart
+                    else:
+                        posts += 1
+                else:
+                    posts += 1
+                if need > start:
+                    start = need
 
-            eoi = cfg.eoi_overhead
-            if overflow_at is None:
-                resume = start
-                finish = start + thread.size + eoi
-            else:
-                overflows += 1
-                # stall at the overflow point until head, then drain
-                resume = max(start + overflow_at, commit_prev)
-                finish = resume + (thread.size - overflow_at) + eoi
-
-            commit = max(finish, commit_prev)
-            commit_prev = commit
-            cpu_free[j % p] = commit
-            prev_start = start
+            # Restart on violation: a heap violation fires when the
+            # producing store executes and the consumer has already
+            # read the address; the consumer restarts *then* (store
+            # time + restart penalty) and re-executes, so later loads
+            # land later and may no longer violate.  Each restart
+            # strictly raises the start time, so this converges; the
+            # bound only protects against a modelling bug.
+            if heap_deps:
+                for _ in range(100_000):
+                    violated = [store_abs for rel, store_abs in heap_deps
+                                if start + rel < store_abs]
+                    if not violated:
+                        break
+                    violations += 1
+                    start = min(violated) + restart
+                else:  # pragma: no cover - safety net
+                    raise SimulationError(
+                        "violation resolution did not converge")
 
             # publish this thread's stores for later consumers; stores
             # issued after an overflow point only drain once the thread
             # resumes as head, so their visible time shifts accordingly
             if overflow_at is None:
-                for rel, addr, is_local in stores:
-                    last_store[addr] = (j, start + rel, is_local)
+                finish = start + thread.size + eoi
+                for rel, addr, _ in stores:
+                    last_store[addr] = start + rel
             else:
+                overflows += 1
+                # stall at the overflow point until head, then drain
+                resume = max(start + overflow_at, commit_prev)
+                finish = resume + (thread.size - overflow_at) + eoi
+                for rel, addr, _ in stores:
+                    last_store[addr] = (resume + (rel - overflow_at)
+                                        if rel > overflow_at
+                                        else start + rel)
+            if consume is not None:
                 for rel, addr, is_local in stores:
-                    abs_time = (resume + (rel - overflow_at)
-                                if rel > overflow_at else start + rel)
-                    last_store[addr] = (j, abs_time, is_local)
+                    if is_local:
+                        predictor.observe(addr, rel)
 
-        parallel = commit_prev + cfg.shutdown_overhead
-        return EntryResult(parallel, entry.total_cycles,
-                           violations, overflows, n)
+            if finish > commit_prev:
+                commit_prev = finish
+            cpu_free[j % p] = commit_prev
+            prev_start = start
 
-    # -- internals ------------------------------------------------------------
-
-    def _prepare_local(self, thread, frame_id: int) -> PreparedEvents:
-        """Unmemoized classification for either thread layout."""
-        if type(thread) is ThreadView:
-            return prepare_view(thread, self._eliminated, frame_id)
-        return prepare_thread(thread.events, self._eliminated, frame_id)
-
-    def _resolve_start(self, base: int, dep_loads,
-                       last_store: Dict[int, Tuple[int, int, bool]],
-                       j: int) -> Tuple[int, int]:
-        """Earliest start time satisfying all cross-thread dependencies,
-        counting restarts for heap violations."""
-        cfg = self.config
-        start = base
-        restarts = 0
-        # constraints: (load rel, store abs time, is_local)
-        constraints: List[Tuple[int, int, bool]] = []
-        for rel, addr, is_local in dep_loads:
-            prod = last_store.get(addr)
-            if prod is None or prod[0] >= j:
-                continue
-            constraints.append((rel, prod[1], is_local))
-        if not constraints:
-            return start, restarts
-
-        synchronize_heap = self.compilation.synchronize_heap
-        # forwarded locals — and, with the Section 6.3 synchronization
-        # optimization, heap dependences too — wait for the producer
-        # plus the store-load communication delay instead of violating
-        for rel, store_abs, is_local in constraints:
-            if is_local or synchronize_heap:
-                need = store_abs + cfg.store_load_comm_overhead - rel
-                if need > start:
-                    start = need
-        if synchronize_heap:
-            return start, restarts
-
-        # Heap dependencies: a violation fires when the producing store
-        # executes and the consumer has already read the address; the
-        # consumer restarts *then* (store time + restart penalty) and
-        # re-executes, so later loads land later and may no longer
-        # violate.  Each restart strictly raises the start time, so this
-        # converges; the guard only protects against a modelling bug.
-        heap_deps = [(rel, store_abs)
-                     for rel, store_abs, is_local in constraints
-                     if not is_local]
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 100_000:  # pragma: no cover - safety net
-                raise SimulationError(
-                    "violation resolution did not converge")
-            violated = [store_abs for rel, store_abs in heap_deps
-                        if start + rel < store_abs]
-            if not violated:
-                break
-            restarts += 1
-            start = min(violated) + cfg.violation_restart_overhead
-        return start, restarts
+        result.add(EntryResult(commit_prev + cfg.shutdown_overhead,
+                               entry.total_cycles, violations,
+                               overflows, n))
+        if predictor is not None:
+            # consumption-side books: a prediction counts when a waiter
+            # used it, and every post/wait violation is a misprediction,
+            # so violations == predictions - hits by construction (the
+            # predictor's own counters are the training-side view and
+            # include unconsumed predictions)
+            result.predictions += hits + violations
+            result.predicted_hits += hits
+            result.posts += posts
 
 
 def simulate_stl(compilation: STLCompilation, entries: List[EntryTrace],
                  config: HydraConfig = DEFAULT_HYDRA,
                  engine=None) -> TLSResult:
-    """One-call wrapper: simulate all entries of one selected STL."""
-    return TLSSimulator(compilation, config, engine=engine) \
+    """One-call wrapper: replay all entries of one selected STL under
+    the restart-on-violation (Hydra TLS) dependence policy."""
+    return TraceSimulator(compilation, config, engine=engine) \
         .simulate(entries)

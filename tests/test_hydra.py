@@ -10,6 +10,7 @@ from repro.hydra import (
     SetAssocCache,
     TransistorBudget,
 )
+from repro.runtime.heap import LINE_SIZE
 
 
 class TestConfig:
@@ -20,7 +21,7 @@ class TestConfig:
         assert cfg.load_buffer_assoc == 4
         assert cfg.store_buffer_bytes == 2 * 1024
         assert cfg.store_buffer_lines == 64
-        assert cfg.line_size == 32
+        assert LINE_SIZE == 32
 
     def test_paper_table2_values(self):
         cfg = DEFAULT_HYDRA
@@ -46,8 +47,9 @@ class TestConfig:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             HydraConfig(n_cpus=1)
-        with pytest.raises(ValueError):
-            HydraConfig(line_size=48)
+        # the line size is the simulator-wide LINE_SIZE, not a knob
+        with pytest.raises(TypeError):
+            HydraConfig(line_size=64)
 
     def test_custom_config(self):
         cfg = HydraConfig(n_cpus=8, store_buffer_lines=128)

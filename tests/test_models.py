@@ -23,7 +23,7 @@ from repro.models.doacross import (
     estimate_doacross,
     simulate_doacross,
 )
-from repro.models.predictor import LiveInPredictor
+from repro.tls.predictor import LiveInPredictor
 from repro.runtime.events import local_address
 from repro.tls import EntryTrace, ThreadEvent, ThreadTrace
 

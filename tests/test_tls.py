@@ -11,9 +11,9 @@ from repro.lang import compile_source
 from repro.runtime import RecordingListener, run_program
 from repro.tls import (
     EntryTrace,
-    TLSSimulator,
     ThreadEvent,
     ThreadTrace,
+    TraceSimulator,
     local_frame_of,
     local_slot_of,
     simulate_stl,
@@ -192,7 +192,7 @@ class TestOverflow:
                       for i in range(6)]
             threads.append((100, events))
         e = entry(threads)
-        res = TLSSimulator(comp, config).simulate([e])
+        res = TraceSimulator(comp, config).simulate([e])
         assert res.overflows == 8
         # overflowed threads serialize: speedup collapses
         assert res.speedup < 1.5
@@ -202,7 +202,7 @@ class TestOverflow:
         comp = dummy_compilation(config)
         threads = [(100, [(i, "st", i * 32) for i in range(10)])
                    for _ in range(8)]
-        res = TLSSimulator(comp, config).simulate([entry(threads)])
+        res = TraceSimulator(comp, config).simulate([entry(threads)])
         assert res.overflows == 0
 
     def test_associativity_conflict_overflows(self):
@@ -212,7 +212,7 @@ class TestOverflow:
         comp = dummy_compilation(config)
         n_sets = 512 // 4
         events = [(i, "ld", (i * n_sets) * 32) for i in range(5)]
-        res = TLSSimulator(comp, config).simulate(
+        res = TraceSimulator(comp, config).simulate(
             [entry([(100, events), (100, [])])])
         assert res.overflows == 1
 

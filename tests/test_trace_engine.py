@@ -221,16 +221,25 @@ class TestSimulationEquivalence:
              HydraConfig(n_cpus=8, load_buffer_lines=64,
                          load_buffer_assoc=2)]
 
+    MODELS = ("hydra-tls", "doacross")
+
     def test_engine_matches_row_path(self, both_layouts):
+        """Both dependence policies give the same result on the row
+        split without an engine as on the memoized columnar path.  The
+        row split is the slow part, so each loop's is built once."""
         table, legacy, columnar = both_layouts
         engine = TraceEngine(columnar)
+        loops = _windowable_loops(table, columnar)
+        row_splits = {lid: split_trace(legacy, lid) for lid in loops}
         for config in self.SWEEP:
-            for lid in _windowable_loops(table, columnar):
+            for lid in loops:
                 comp = compile_stl(table.by_id[lid], config)
-                rows = simulate_stl(
-                    comp, split_trace(legacy, lid), config)
-                cols = engine.simulate(comp, config)
-                assert vars(rows) == vars(cols), (lid, config)
+                for model in self.MODELS:
+                    simulate = get_model(model).simulate
+                    rows = simulate(comp, row_splits[lid], config)
+                    cols = simulate(comp, engine.split(lid), config,
+                                    engine=engine)
+                    assert vars(rows) == vars(cols), (model, lid, config)
 
     def test_pipeline_matches_row_reference(self):
         """Stage 5's one path (model registry over the TraceEngine)
@@ -274,11 +283,13 @@ class TestMemoDeterminism:
         first = {}
         for lid in loops:
             comp = compile_stl(table.by_id[lid], config)
-            first[lid] = engine.simulate(comp, config)
+            first[lid] = simulate_stl(comp, engine.split(lid), config,
+                                      engine=engine)
         before = engine.stats.snapshot()
         for lid in loops:
             comp = compile_stl(table.by_id[lid], config)
-            again = engine.simulate(comp, config)
+            again = simulate_stl(comp, engine.split(lid), config,
+                                 engine=engine)
             assert vars(again) == vars(first[lid])
         after = engine.stats.snapshot()
         # the second pass must be served entirely from the memos
@@ -293,18 +304,21 @@ class TestMemoDeterminism:
         table, _, columnar = both_layouts
         engine = TraceEngine(columnar)
         lid = _windowable_loops(table, columnar)[0]
-        base = HydraConfig()
-        engine.simulate(compile_stl(table.by_id[lid], base), base)
+        cand = table.by_id[lid]
+
+        def replay(config):
+            simulate_stl(compile_stl(cand, config), engine.split(lid),
+                         config, engine=engine)
+
+        replay(HydraConfig())
         misses = engine.stats.snapshot()
         # same geometry, different overheads/cpus -> all kernels hit
-        tweaked = HydraConfig(n_cpus=2, store_load_comm_overhead=99)
-        engine.simulate(compile_stl(table.by_id[lid], tweaked), tweaked)
+        replay(HydraConfig(n_cpus=2, store_load_comm_overhead=99))
         after = engine.stats.snapshot()
         for kernel in ("split", "classify", "overflow"):
             assert after[kernel]["misses"] == misses[kernel]["misses"]
         # shrunk store buffer -> overflow recomputes, classify still hits
-        shrunk = HydraConfig(store_buffer_lines=4)
-        engine.simulate(compile_stl(table.by_id[lid], shrunk), shrunk)
+        replay(HydraConfig(store_buffer_lines=4))
         final = engine.stats.snapshot()
         assert final["overflow"]["misses"] > after["overflow"]["misses"]
         assert final["classify"]["misses"] == after["classify"]["misses"]
