@@ -1,12 +1,13 @@
-"""Per-loop replay pins: every selected loop of three Table 6 programs,
-replayed under both speculative models, must reproduce the committed
-``vars()`` of its result exactly.
+"""Per-loop replay pins: every selected loop of four Table 6 programs and
+the two test-suite nests, replayed under both speculative models, must
+reproduce the committed ``vars()`` of its result exactly.
 
 The fixture covers TLS violations (deltaBlue, BitOps), TLS buffer
 overflows (BitOps under the small configuration), DOACROSS live-in
 mispredictions (compress), and the Section 6.3 ``synchronize_heap``
-branch of both models.  Regenerate it only when a change to simulated
-numbers is intended::
+branch of both models.  db and the two nests are the sources the
+row-versus-engine tests in ``test_trace_engine.py`` replay.  Regenerate
+the fixture only when a change to simulated numbers is intended::
 
     PYTHONPATH=src python -m tests.test_replay_pins
 """
@@ -23,9 +24,13 @@ from repro.models import get_model
 from repro.tls import TraceEngine
 from repro.workloads.registry import get_workload
 
+from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
+
 PINS_PATH = os.path.join(os.path.dirname(__file__), "replay_pins.json")
 
-WORKLOADS = ("compress", "deltaBlue", "BitOps")
+WORKLOADS = ("compress", "deltaBlue", "BitOps", "db")
+#: inline sources, keyed by the row tests' parameter ids
+SOURCES = {"nest": NEST_SOURCE, "huffman-nest": HUFFMAN_SOURCE}
 MODELS = ("hydra-tls", "doacross")
 CONFIGS = {
     "default": DEFAULT_HYDRA,
@@ -37,10 +42,13 @@ CONFIGS = {
 
 def replay_all():
     """``{workload/L<id>/model/config/sync=<bool>: vars(result)}`` for
-    every selected loop of :data:`WORKLOADS` under ``models="all"``."""
+    every selected loop of :data:`WORKLOADS` and :data:`SOURCES` under
+    ``models="all"``."""
+    sources = {name: get_workload(name).source() for name in WORKLOADS}
+    sources.update(SOURCES)
     pins = {}
-    for name in WORKLOADS:
-        report = Jrpm(source=get_workload(name).source(), name=name,
+    for name, source in sources.items():
+        report = Jrpm(source=source, name=name,
                       models="all").run(simulate_tls=False)
         engine = TraceEngine(report.recording)
         for lid in report.selection.selected_ids():
