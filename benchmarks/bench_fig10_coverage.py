@@ -26,7 +26,7 @@ def test_fig10_selected_stl_coverage(benchmark, fleet_reports):
         sel = rep.selection
         blocks = []
         for s in sel.significant()[:3]:
-            share = s.sequential_cycles / sel.total_cycles
+            share = s.sequential_time / sel.total_cycles
             blocks.append("%2.0f%%@%.1fx" % (100 * share,
                                              s.estimate.speedup))
         print("%-14s %5d %8.1f%% %8.1f%% %10.3f   %s" % (

@@ -56,7 +56,7 @@ def _run_models(name: str):
                 models="all").run(simulate_tls=True)
 
 
-def _run_legacy(name: str):
+def _run_default(name: str):
     w = get_workload(name)
     return Jrpm(source=w.source(), name=w.name).run(simulate_tls=True)
 
@@ -68,7 +68,7 @@ def _workload_row(report) -> Dict:
     per_loop: List[Dict] = []
     for loop_id in sorted(sel.decisions):
         dec = sel.decisions[loop_id]
-        winner = getattr(dec, "model", "hydra-tls")
+        winner = dec.model
         chosen = loop_id in selected_ids
         if chosen:
             counts[winner] = counts.get(winner, 0) + 1
@@ -78,7 +78,7 @@ def _workload_row(report) -> Dict:
             "selected": chosen,
             "estimates": {
                 n: round(est.speedup, 4)
-                for n, est in (dec.model_estimates or {}).items()},
+                for n, est in dec.model_estimates.items()},
         }
         result = report.tls_results.get(loop_id)
         if result is not None:
@@ -103,11 +103,12 @@ def run_benchmark(quick: bool = False) -> Dict:
         start = time.perf_counter()
         report = _run_models(name)
         elapsed += time.perf_counter() - start
-        assert report.models == tuple(competing), report.models
+        assert report.selection.models == tuple(competing), \
+            report.selection.models
         workloads[name] = _workload_row(report)
 
     # the gate: same workload, same trace discipline, hydra-tls-only
-    legacy = _run_legacy(GATE_WORKLOAD)
+    legacy = _run_default(GATE_WORKLOAD)
     gate_row = workloads[GATE_WORKLOAD] if GATE_WORKLOAD in workloads \
         else _workload_row(_run_models(GATE_WORKLOAD))
     gate = {

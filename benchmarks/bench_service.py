@@ -167,7 +167,8 @@ def _fake_report(name: str) -> Dict[str, Any]:
                           "selected": []},
             "predicted_vs_actual": None, "engine": None,
             "trace_jit": None, "optimize_stats": None,
-            "models": None}
+            "models": {"requested": ["hydra-tls"],
+                       "selected_counts": {}, "per_loop": []}}
 
 
 def _load_body(i: int) -> Dict[str, Any]:

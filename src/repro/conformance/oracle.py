@@ -16,12 +16,13 @@ checked properties:
   ranks first too (documented exceptions in
   :data:`KNOWN_WINNER_MISMATCHES`).
 
-With ``models=`` the fleet instead runs the multi-model argmax
-pipeline, and the gate shifts to the per-model property: every
-selected STL's predicted-vs-actual speedup error stays within the
-winning model's ceiling (:data:`MODEL_ERROR_BOUNDS`).  Workload-level
-bounds and the winner check are legacy-calibrated and do not apply —
-model selection changes which loops run and what they achieve.
+With ``models=`` naming anything but hydra-tls alone, the fleet runs
+the multi-model argmax pipeline and the gate shifts to the per-model
+property: every selected STL's predicted-vs-actual speedup error stays
+within the winning model's ceiling (:data:`MODEL_ERROR_BOUNDS`).
+Workload-level bounds and the winner check are calibrated against
+hydra-tls alone and do not apply — model selection changes which
+loops run and what they achieve.
 
 EXPERIMENTS.md records the measured numbers behind every bound and
 exception; ``jrpm conform`` runs this as the CI conformance gate and
@@ -30,12 +31,13 @@ emits the machine-readable report via :meth:`OracleReport.to_dict`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.jrpm.cache import ArtifactCache
 from repro.jrpm.executor import FleetExecutor
 from repro.jrpm.pipeline import Jrpm
+from repro.models import DEFAULT_MODEL, resolve_models
 from repro.workloads.registry import Workload, all_workloads
 
 #: fallback workload-level relative-error ceiling on predicted vs
@@ -113,13 +115,12 @@ class STLConformance:
 
     def __init__(self, loop_id: int, predicted_cycles: float,
                  actual_cycles: int, sequential_cycles: int,
-                 model: str = "hydra-tls"):
+                 model: str):
         self.loop_id = loop_id
         self.predicted_cycles = predicted_cycles
         self.actual_cycles = actual_cycles
         self.sequential_cycles = sequential_cycles
-        #: execution model that simulated this loop ("hydra-tls" on
-        #: the legacy single-model path)
+        #: execution model that simulated this loop
         self.model = model
 
     @property
@@ -182,7 +183,7 @@ class WorkloadConformance:
                  coverage: float, stls: List[STLConformance],
                  winner_predicted: Optional[int],
                  winner_actual: Optional[int],
-                 models: Optional[tuple] = None):
+                 models: Tuple[str, ...]):
         self.name = name
         self.category = category
         self.predicted_speedup = predicted_speedup
@@ -191,7 +192,7 @@ class WorkloadConformance:
         self.stls = stls
         self.winner_predicted = winner_predicted
         self.winner_actual = winner_actual
-        #: execution models the run competed (None = legacy pipeline)
+        #: execution models the run competed
         self.models = models
 
     @property
@@ -221,7 +222,7 @@ class WorkloadConformance:
             "winner_predicted": self.winner_predicted,
             "winner_actual": self.winner_actual,
             "winner_match": self.winner_match,
-            "models": list(self.models) if self.models else None,
+            "models": list(self.models),
             "stls": [s.to_dict() for s in self.stls],
         }
 
@@ -235,9 +236,8 @@ def conformance_row(name: str, category: str, report
         if tls is None:
             continue
         stls.append(STLConformance(
-            sel.loop_id, sel.predicted_cycles, tls.parallel_cycles,
-            sel.sequential_cycles,
-            model=sel.model))
+            sel.loop_id, sel.time_if_speculated, tls.parallel_cycles,
+            sel.sequential_time, sel.model))
     winner_predicted = winner_actual = None
     if stls:
         winner_predicted = max(
@@ -249,8 +249,7 @@ def conformance_row(name: str, category: str, report
     return WorkloadConformance(
         name, category, report.predicted_speedup,
         report.actual_speedup, report.coverage, stls,
-        winner_predicted, winner_actual,
-        models=report.models)
+        winner_predicted, winner_actual, report.selection.models)
 
 
 def oracle_task(workload: Workload, config: HydraConfig = DEFAULT_HYDRA,
@@ -320,11 +319,11 @@ class OracleReport:
                 problems.append("%s: pipeline failed: %s"
                                 % (row.name, row.error))
                 continue
-            if getattr(row, "models", None) is not None:
+            if row.models != (DEFAULT_MODEL,):
                 # multi-model run: the per-model STL property.  The
                 # workload-level bounds and winner ranking are
-                # calibrated against the legacy pipeline, where every
-                # loop is estimated and simulated by hydra-tls.
+                # calibrated against hydra-tls alone, where every
+                # loop is estimated and simulated by that model.
                 for stl in row.stls:
                     bound = self.model_bound_for(stl.model)
                     if stl.speedup_rel_error > bound:
@@ -376,7 +375,7 @@ class OracleReport:
             if not row.ok:
                 lines.append("%-14s FAILED: %s" % (row.name, row.error))
                 continue
-            if getattr(row, "models", None) is not None:
+            if row.models != (DEFAULT_MODEL,):
                 # per-model gate: report the worst STL-level model
                 # error against the loosest bound it was held to
                 worst = max((s.speedup_rel_error for s in row.stls),
@@ -418,15 +417,12 @@ def run_oracle(workloads: Optional[Iterable[Workload]] = None,
     processes; pass a disk-backed ``cache`` to share pipeline
     artifacts).  Failed pipelines surface as failed rows rather than
     aborting the sweep.  ``models`` (a spec accepted by
-    :func:`repro.models.resolve_models`) switches every pipeline run
-    to the multi-model argmax and the gate to the per-model bounds.
+    :func:`repro.models.resolve_models`) other than hydra-tls alone
+    switches every pipeline run to the multi-model argmax and the gate
+    to the per-model bounds.
     """
-    from repro.models import resolve_models
-
-    resolved = resolve_models(models)
     fleet = list(workloads) if workloads is not None else all_workloads()
-    if resolved is not None:
-        executor_kwargs["models"] = resolved
+    executor_kwargs["models"] = resolve_models(models)
     executor = FleetExecutor(jobs=jobs, config=config, cache=cache,
                              on_error="row", task=oracle_task,
                              **executor_kwargs)

@@ -18,21 +18,13 @@ from repro.jrpm.pipeline import Jrpm, JrpmReport
 from repro.workloads.registry import Workload, all_workloads
 
 
-class FleetRow:
-    """One benchmark's Table 6 / Fig 10 / Fig 11 numbers."""
+class CharacteristicsRow:
+    """One report's Table 6 TEST-analysis columns (the fleet table and
+    :func:`~repro.jrpm.report.render_characteristics_row` both read
+    them here)."""
 
-    #: this row carries a report (vs. a failure); aggregates filter on it
-    ok = True
-
-    def __init__(self, workload: Workload, report: JrpmReport):
-        self.workload = workload
+    def __init__(self, report: JrpmReport):
         self.report = report
-
-    # -- Table 6 columns ------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.workload.name
 
     @property
     def loop_count(self) -> int:
@@ -64,7 +56,7 @@ class FleetRow:
             raise PipelineError(
                 "selection for %r references loop ids %r absent from "
                 "the candidate table — inconsistent report artifacts"
-                % (self.name, sorted(missing)))
+                % (self.report.name, sorted(missing)))
         heights = [table.by_id[s.loop_id].loop.height1()
                    for s in self.report.selection.significant()]
         return sum(heights) / len(heights) if heights else 0.0
@@ -86,6 +78,21 @@ class FleetRow:
     def thread_size(self) -> float:
         """Coverage-weighted thread size in cycles (column h)."""
         return self._weighted(lambda s: s.stats.avg_thread_size)
+
+
+class FleetRow(CharacteristicsRow):
+    """One benchmark's Table 6 / Fig 10 / Fig 11 numbers."""
+
+    #: this row carries a report (vs. a failure); aggregates filter on it
+    ok = True
+
+    def __init__(self, workload: Workload, report: JrpmReport):
+        super().__init__(report)
+        self.workload = workload
+
+    @property
+    def name(self) -> str:
+        return self.workload.name
 
     # -- Figures 6 / 10 / 11 ------------------------------------------------
 

@@ -73,9 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--models", nargs="?", const="all",
                      metavar="A,B,...",
                      help="let each loop pick its execution model by "
-                          "estimate argmax; bare flag compares all "
-                          "registered models (see 'jrpm models'), or "
-                          "give a comma-separated subset")
+                          "estimate argmax and print the per-loop "
+                          "table; bare flag compares all registered "
+                          "models (see 'jrpm models'), or give a "
+                          "comma-separated subset (default: hydra-tls "
+                          "alone)")
 
     fleet = sub.add_parser(
         "fleet", help="run the pipeline over many workloads")
@@ -117,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="A,B,...",
                        help="per-loop execution-model argmax in every "
                             "worker (bare flag = all registered "
-                            "models)")
+                            "models; default: hydra-tls alone)")
 
     serve = sub.add_parser(
         "serve", help="run the long-lived analysis service")
@@ -252,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="A,B,...",
                          help="run the oracle with per-loop model "
                               "argmax and gate predicted-vs-actual "
-                              "error per execution model")
+                              "error per execution model (hydra-tls "
+                              "alone keeps the per-workload gate)")
     conform.add_argument("--synth", type=int, default=0, metavar="N",
                          help="gate N synthetic instances per family: "
                               "parallelism labels must hold and "

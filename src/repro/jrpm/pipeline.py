@@ -81,9 +81,6 @@ class JrpmReport:
         #: the trace engine the TLS replay ran through (None when TLS
         #: was skipped)
         self.engine: Optional[TraceEngine] = None
-        #: execution-model names that competed for each loop (None =
-        #: hydra-tls only, without per-model estimates)
-        self.models: Optional[tuple] = None
 
     # -- headline numbers -------------------------------------------------
 
@@ -156,8 +153,8 @@ class Jrpm:
         #: so cache keys reflect the effective value, never the env
         self.trace_jit = resolve_trace_jit(trace_jit)
         #: execution models competing per loop ("all", a name list, or
-        #: None for the legacy hydra-tls-only pipeline); resolved
-        #: eagerly so unknown names fail at construction
+        #: None for the paper's hydra-tls alone); resolved eagerly so
+        #: unknown names fail at construction
         self.models = resolve_models(models)
 
     # -- stages ------------------------------------------------------------
@@ -173,7 +170,6 @@ class Jrpm:
         report.selection = select_stls(
             report.device, report.profiled.cycles, self.config,
             min_speedup=self.min_speedup, models=self.models)
-        report.models = self.models
 
         # stages 4 + 5: speculative recompilation + execution under
         # each loop's winning model, replayed through the memoizing

@@ -10,6 +10,7 @@ import json
 import math
 from typing import Any, Dict, List, Optional
 
+from repro.jrpm.batch import CharacteristicsRow
 from repro.jrpm.pipeline import JrpmReport
 
 
@@ -74,25 +75,18 @@ def render_predicted_vs_actual(report: JrpmReport) -> str:
 def render_models(report: JrpmReport) -> str:
     """Per-loop execution-model comparison: every competing model's
     estimate and the argmax winner (``jrpm run --models`` output)."""
-    requested = report.models
     sel = report.selection
-    if not requested:
-        return "(multi-model selection was not run)"
-    names = list(requested)
     header = "%-6s %-11s %-9s" % ("loop", "winner", "selected")
-    header += "".join(" %11s" % n[:11] for n in names)
-    lines = ["execution models: " + ", ".join(names), header]
+    header += "".join(" %11s" % n[:11] for n in sel.models)
+    lines = ["execution models: " + ", ".join(sel.models), header]
     selected_ids = {s.loop_id for s in sel.selected}
     for loop_id in sorted(sel.decisions):
         dec = sel.decisions[loop_id]
-        estimates = dec.model_estimates or {}
         row = "L%-5d %-11s %-9s" % (
             loop_id, dec.model,
             "yes" if loop_id in selected_ids else "no")
-        for name in names:
-            est = estimates.get(name)
-            row += " %10.2fx" % est.speedup if est is not None \
-                else " %11s" % "-"
+        row += "".join(" %10.2fx" % dec.model_estimates[name].speedup
+                       for name in sel.models)
         lines.append(row)
     return "\n".join(lines)
 
@@ -111,7 +105,7 @@ def render_trace_jit(report: JrpmReport) -> str:
     lines = ["trace jit"]
     for label, result in (("sequential", report.sequential),
                           ("profiled", report.profiled)):
-        jit = getattr(result, "jit", None)
+        jit = result.jit
         if jit is None:
             lines.append("  %-10s (disabled)" % label)
             continue
@@ -147,32 +141,12 @@ def render_optimize_stats(report: JrpmReport) -> str:
 
 def render_characteristics_row(report: JrpmReport) -> str:
     """This program's row of Table 6 (TEST analysis columns)."""
-    table = report.candidates
-    sel = report.selection
-    significant = sel.significant()
-    heights: List[int] = []
-    for s in significant:
-        cand = table.by_id.get(s.loop_id)
-        if cand is not None:
-            heights.append(cand.loop.height1())
-    avg_height = sum(heights) / len(heights) if heights else 0.0
-    threads_per_entry = [s.stats.avg_iters_per_entry for s in significant]
-    sizes = [s.stats.avg_thread_size for s in significant]
-    weights = [s.stats.cycles for s in significant]
-    total_w = sum(weights) or 1
-
-    def wavg(values: List[float]) -> float:
-        return sum(v * w for v, w in zip(values, weights)) / total_w
-
+    row = CharacteristicsRow(report)
     return ("%-16s loops=%-4d depth=%-2d selected=%-3d "
             "avg_height=%-4.1f threads/entry=%-8.0f size=%-8.0f" % (
-                report.name,
-                table.loop_count,
-                report.device.max_dynamic_depth(),
-                len(significant),
-                avg_height,
-                wavg(threads_per_entry) if threads_per_entry else 0,
-                wavg(sizes) if sizes else 0))
+                report.name, row.loop_count, row.dynamic_depth,
+                row.selected_count, row.avg_selected_height,
+                row.threads_per_entry, row.thread_size))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +155,9 @@ def render_characteristics_row(report: JrpmReport) -> str:
 
 #: bump when the JSON layout changes shape; consumers pin against it
 #: (v4: per-loop execution ``model`` in selection rows plus a nullable
-#: top-level ``models`` block for multi-model runs)
-REPORT_SCHEMA_VERSION = 4
+#: top-level ``models`` block for multi-model runs; v5: the ``models``
+#: block is always filled, ``["hydra-tls"]`` by default)
+REPORT_SCHEMA_VERSION = 5
 
 #: required top-level keys and their accepted types.  ``float`` accepts
 #: ints too (JSON has one number type); ``None`` marks nullable fields.
@@ -201,7 +176,7 @@ REPORT_SCHEMA: Dict[str, tuple] = {
     "engine": (dict, type(None)),
     "trace_jit": (dict, type(None)),
     "optimize_stats": (dict, type(None)),
-    "models": (dict, type(None)),
+    "models": (dict,),
 }
 
 #: required keys of every row in ``selection["selected"]``
@@ -250,6 +225,23 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
             "predicted_speedup": s.estimate.speedup,
             "model": s.model,
         })
+    per_loop = []
+    counts: Dict[str, int] = {}
+    selected_ids = {s.loop_id for s in sel.selected}
+    for loop_id in sorted(sel.decisions):
+        dec = sel.decisions[loop_id]
+        chosen = loop_id in selected_ids
+        # unselected loops stay sequential regardless of which
+        # speculative model won their estimate comparison
+        effective = dec.model if chosen else "sequential"
+        counts[effective] = counts.get(effective, 0) + 1
+        per_loop.append({
+            "loop_id": loop_id,
+            "model": dec.model,
+            "selected": chosen,
+            "estimates": {name: _finite(est.speedup)
+                          for name, est in dec.model_estimates.items()},
+        })
     out: Dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "name": report.name,
@@ -271,39 +263,16 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
         "engine": None,
         "trace_jit": None,
         "optimize_stats": report.optimize_stats,
-        "models": None,
-    }
-    requested = report.models
-    if requested:
-        per_loop = []
-        counts: Dict[str, int] = {}
-        selected_ids = {s.loop_id for s in sel.selected}
-        for loop_id in sorted(sel.decisions):
-            dec = sel.decisions[loop_id]
-            winner = dec.model
-            estimates = dec.model_estimates or {}
-            chosen = loop_id in selected_ids
-            # unselected loops stay sequential regardless of which
-            # speculative model won their estimate comparison
-            effective = winner if chosen else "sequential"
-            counts[effective] = counts.get(effective, 0) + 1
-            per_loop.append({
-                "loop_id": loop_id,
-                "model": winner,
-                "selected": chosen,
-                "estimates": {name: _finite(est.speedup)
-                              for name, est in estimates.items()},
-            })
-        out["models"] = {
-            "requested": list(requested),
+        "models": {
+            "requested": list(sel.models),
             "selected_counts": counts,
             "per_loop": per_loop,
-        }
-    # per-run trace-JIT counters (getattr: results unpickled from old
-    # cache blobs predate the attribute); all counts are deterministic,
-    # so CLI and service stay byte-identical
-    seq_jit = getattr(report.sequential, "jit", None)
-    prof_jit = getattr(report.profiled, "jit", None)
+        },
+    }
+    # per-run trace-JIT counters; all counts are deterministic, so CLI
+    # and service stay byte-identical
+    seq_jit = report.sequential.jit
+    prof_jit = report.profiled.jit
     if seq_jit is not None or prof_jit is not None:
         out["trace_jit"] = {
             "sequential": seq_jit,

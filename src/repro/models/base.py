@@ -17,9 +17,9 @@ see :mod:`repro.models`.
 """
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
-# The model the legacy (single-backend) pipeline is equivalent to.
+#: The model a run competes when none are named: the paper's Hydra TLS.
 DEFAULT_MODEL = "hydra-tls"
 
 
@@ -96,27 +96,25 @@ def model_names():
 
 
 def resolve_models(spec):
-    # type: (Union[None, bool, str, Iterable[str]]) -> Optional[Tuple[str, ...]]
+    # type: (Union[None, str, Iterable[str]]) -> Tuple[str, ...]
     """Normalize a user-facing model spec to a tuple of registered names.
 
-    ``None``/``False`` → ``None`` (legacy single-backend behaviour);
-    ``True`` or ``"all"`` → every registered model; a comma-separated
-    string or iterable of names → that list, validated and de-duplicated
-    with order preserved.  Unknown names raise ``KeyError``.
+    ``None`` → ``(DEFAULT_MODEL,)``; ``"all"`` → every registered model;
+    a comma-separated string or iterable of names → that list, validated
+    and de-duplicated with order preserved.  Unknown names raise
+    ``KeyError``; an empty spec raises ``ValueError``.
     """
-    if spec is None or spec is False:
-        return None
-    if spec is True or spec == "all":
+    if spec is None:
+        return (DEFAULT_MODEL,)
+    if spec == "all":
         return tuple(model_names())
     if isinstance(spec, str):
-        names = [part.strip() for part in spec.split(",") if part.strip()]
-    else:
-        names = list(spec)
-    if not names:
-        return None
-    seen = []
-    for name in names:
+        spec = [part.strip() for part in spec.split(",") if part.strip()]
+    names = []
+    for name in spec:
         get_model(name)  # raises on unknown names
-        if name not in seen:
-            seen.append(name)
-    return tuple(seen)
+        if name not in names:
+            names.append(name)
+    if not names:
+        raise ValueError("empty execution-model list")
+    return tuple(names)

@@ -1,9 +1,9 @@
 """The paper's execution model, wrapped as a pluggable backend.
 
 Delegates to the existing Eq. 1 estimator and to the trace simulator's
-restart-on-violation dependence policy unchanged, so a run with models
-enabled produces exactly the numbers a legacy run produces for every
-loop that picks ``hydra-tls``.
+restart-on-violation dependence policy unchanged.  It is the default
+model list on its own, so a run that names no models is the paper's
+single-backend pipeline.
 """
 
 from repro.hydra.config import DEFAULT_HYDRA

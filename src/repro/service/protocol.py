@@ -13,7 +13,8 @@ One request shape::
                                          #   DCE pass pipeline first
      "models":   ["hydra-tls", ...],     # optional: per-loop execution-
                                          #   model argmax over these
-                                         #   registered models
+                                         #   registered models (default
+                                         #   ["hydra-tls"])
      "fresh":    false}                  # optional: bypass the result
                                          #   cache (recompute)
 
@@ -39,6 +40,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.hydra.config import HydraConfig
 from repro.jit.annotate import AnnotationLevel
 from repro.jrpm.cache import cache_key
+from repro.models import DEFAULT_MODEL, model_names, resolve_models
 from repro.workloads.registry import Workload, get_workload, workload_names
 
 #: request stages a client may name; "profile" (compile + annotate +
@@ -100,7 +102,7 @@ class AnalyzeRequest:
                  level: AnnotationLevel = AnnotationLevel.OPTIMIZED,
                  extended: bool = False,
                  optimize: bool = False,
-                 models: Optional[Tuple[str, ...]] = None,
+                 models: Tuple[str, ...] = (DEFAULT_MODEL,),
                  fresh: bool = False):
         self.workload = workload
         self.config = config
@@ -110,7 +112,7 @@ class AnalyzeRequest:
         self.level = level
         self.extended = extended
         self.optimize = optimize
-        #: execution models competing per loop (None = legacy)
+        #: execution models competing per loop
         self.models = models
         #: bypass the scheduler's result cache (still coalesces with
         #: concurrent identical requests and fills the cache)
@@ -140,7 +142,7 @@ class AnalyzeRequest:
             "level": self.level.value,
             "extended": self.extended,
             "optimize": self.optimize,
-            "models": list(self.models) if self.models else None,
+            "models": list(self.models),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -186,14 +188,12 @@ def _parse_stages(raw: Any) -> bool:
     return "tls" in raw
 
 
-def _parse_models(raw: Any) -> Optional[Tuple[str, ...]]:
-    if raw is None:
-        return None
-    if not isinstance(raw, list) \
-            or not all(isinstance(m, str) and m for m in raw):
+def _parse_models(raw: Any) -> Tuple[str, ...]:
+    if raw is not None and (
+            not isinstance(raw, list) or not raw
+            or not all(isinstance(m, str) and m for m in raw)):
         raise ProtocolError(
-            "'models' must be a list of execution-model names")
-    from repro.models import model_names, resolve_models
+            "'models' must be a non-empty list of execution-model names")
     try:
         return resolve_models(raw)
     except KeyError:

@@ -407,7 +407,7 @@ class RequestScheduler:
         service metrics (surfaced on /metrics next to the trace-engine
         stats)."""
         for result in (report.sequential, report.profiled):
-            jit = getattr(result, "jit", None)
+            jit = result.jit
             if not jit:
                 continue
             inc = self.metrics.inc
@@ -428,12 +428,10 @@ class RequestScheduler:
             self.metrics.inc("optimize_%s" % key, value)
 
     def _merge_models(self, report) -> None:
-        """Fold one multi-model report's per-loop winners into the
-        service metrics (surfaced on /metrics as ``model_selected_*``
-        and ``model_won_*``): how often each execution model won the
+        """Fold one report's per-loop winners into the service metrics
+        (surfaced on /metrics as ``model_selected_*`` and
+        ``model_won_*``): how often each execution model won the
         argmax, and how often its winner was actually scheduled."""
-        if report.models is None:
-            return
         selection = report.selection
         chosen = {s.loop_id for s in selection.selected}
         for loop_id in sorted(selection.decisions):

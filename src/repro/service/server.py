@@ -98,6 +98,11 @@ class JsonHandler(BaseHTTPRequestHandler):
 
     server_version = "jrpm-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: ``end_headers()`` flushes the headers and the body
+    #: follows in a second small send, which Nagle's algorithm would
+    #: hold until the client's delayed ACK (~40 ms per keep-alive
+    #: response)
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
 

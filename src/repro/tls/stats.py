@@ -73,7 +73,7 @@ class ProgramTLSOutcome:
             res = self.results.get(sel.loop_id)
             rows.append((
                 sel.loop_id,
-                sel.sequential_cycles,
+                sel.sequential_time,
                 sel.estimate.speedup,
                 res.speedup if res else float("nan"),
                 res.violation_rate if res else float("nan"),

@@ -28,7 +28,6 @@ from repro.tracer.extended import (
 )
 from repro.tracer.selector import (
     LoopDecision,
-    SelectedSTL,
     SelectionResult,
     select_stls,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "LocalTimestampTable",
     "LoopDecision",
     "STLStats",
-    "SelectedSTL",
     "SelectionResult",
     "SoftwareCosts",
     "SoftwareProfiler",

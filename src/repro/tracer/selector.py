@@ -18,11 +18,11 @@ the optimal antichain of decompositions and the program-level breakdown
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.tracer.device import TestDevice
-from repro.tracer.estimator import SpeedupEstimate, estimate_speedup
+from repro.tracer.estimator import SpeedupEstimate
 from repro.tracer.stats import STLStats
 
 
@@ -31,15 +31,15 @@ class LoopDecision:
 
     ``estimate`` is the winning model's estimate and ``model`` its
     registry name; ``model_estimates`` maps every competing model's
-    name to its estimate when a multi-model selection ran (``None`` in
-    legacy single-backend runs).  Model *names*, not model instances,
-    are stored so decisions stay picklable across the worker pool.
+    name to its estimate.  Model *names*, not model instances, are
+    stored so decisions stay picklable across the worker pool.  The
+    decisions that speculate at their own level are the selection's
+    chosen STLs (:attr:`SelectionResult.selected`).
     """
 
     def __init__(self, loop_id: int, stats: STLStats,
-                 estimate: SpeedupEstimate,
-                 model: str = "hydra-tls",
-                 model_estimates: Optional[Dict[str, object]] = None):
+                 estimate: SpeedupEstimate, model: str,
+                 model_estimates: Dict[str, SpeedupEstimate]):
         self.loop_id = loop_id
         self.stats = stats
         self.estimate = estimate
@@ -63,50 +63,26 @@ class LoopDecision:
             else float(self.stats.cycles)
 
 
-class SelectedSTL:
-    """One loop chosen for speculative recompilation."""
-
-    def __init__(self, decision: LoopDecision):
-        self.loop_id = decision.loop_id
-        self.stats = decision.stats
-        self.estimate = decision.estimate
-        self.model = decision.model
-        self.model_estimates = decision.model_estimates
-
-    @property
-    def sequential_cycles(self) -> int:
-        return self.stats.cycles
-
-    @property
-    def predicted_cycles(self) -> float:
-        return self.stats.cycles / self.estimate.speedup
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<SelectedSTL L%d %.2fx over %d cycles>" % (
-            self.loop_id, self.estimate.speedup, self.stats.cycles)
-
-
 class SelectionResult:
     """Program-level outcome of Equation 2."""
 
-    def __init__(self, selected: List[SelectedSTL],
+    def __init__(self, selected: List[LoopDecision],
                  decisions: Dict[int, LoopDecision],
-                 total_cycles: int,
-                 models: Optional[tuple] = None):
+                 total_cycles: int, models: Tuple[str, ...]):
         #: chosen STLs, by descending sequential coverage
         self.selected = selected
         #: every profiled loop's decision record
         self.decisions = decisions
         #: whole-program sequential cycles
         self.total_cycles = total_cycles
-        #: model names that competed (None = legacy hydra-tls-only run)
+        #: execution-model names that competed for each loop
         self.models = models
 
     @property
     def covered_cycles(self) -> int:
         """Sequential cycles inside selected STLs (disjoint by
         construction — the selection is an antichain of the nest)."""
-        return sum(s.sequential_cycles for s in self.selected)
+        return sum(s.sequential_time for s in self.selected)
 
     @property
     def serial_cycles(self) -> int:
@@ -123,7 +99,7 @@ class SelectionResult:
     def predicted_cycles(self) -> float:
         """Predicted whole-program speculative time (Figure 10/11)."""
         return self.serial_cycles + sum(
-            s.predicted_cycles for s in self.selected)
+            s.time_if_speculated for s in self.selected)
 
     @property
     def predicted_speedup(self) -> float:
@@ -135,11 +111,11 @@ class SelectionResult:
         return [s.loop_id for s in self.selected]
 
     def significant(self, min_coverage: float = 0.005
-                    ) -> List[SelectedSTL]:
+                    ) -> List[LoopDecision]:
         """Selected STLs with at least ``min_coverage`` of total time
         (the paper's Table 6 reports loops with > 0.5% coverage)."""
         floor = min_coverage * self.total_cycles
-        return [s for s in self.selected if s.sequential_cycles >= floor]
+        return [s for s in self.selected if s.sequential_time >= floor]
 
 
 def select_stls(device: TestDevice, total_cycles: int,
@@ -154,31 +130,22 @@ def select_stls(device: TestDevice, total_cycles: int,
     decomposition stays sequential).  ``min_cycles`` drops loops with
     negligible measured time.
 
-    ``models`` generalizes Eq. 2 to multiple execution models: pass a
-    spec accepted by :func:`repro.models.resolve_models` and every
-    loop's estimate becomes an argmax over the named models (ties go
-    to registration order), before the nest DP runs unchanged on the
-    per-loop winners.  ``None`` keeps the legacy single-backend
-    behaviour bit-for-bit.
+    ``models`` is a spec accepted by
+    :func:`repro.models.resolve_models` (``None`` is the paper's
+    Hydra TLS alone).  Every loop's estimate is an argmax over the
+    named models (ties go to registration order), before the nest DP
+    runs on the per-loop winners.
     """
-    model_list = None
-    resolved = None
-    if models is not None:
-        # late import: repro.models imports the estimator/simulator,
-        # so importing it at module level would cycle
-        from repro.models import get_model, resolve_models
-        resolved = resolve_models(models)
-        if resolved:
-            model_list = [(name, get_model(name)) for name in resolved]
+    # late import: repro.models imports the estimator/simulator, so
+    # importing it at module level would cycle
+    from repro.models import get_model, resolve_models
+    resolved = resolve_models(models)
+    model_list = [(name, get_model(name)) for name in resolved]
 
     decisions: Dict[int, LoopDecision] = {}
     for loop_id, stats in device.stats.items():
         if stats.cycles < min_cycles or stats.threads == 0 \
                 or stats.profiled_threads == 0:
-            continue
-        if model_list is None:
-            decisions[loop_id] = LoopDecision(
-                loop_id, stats, estimate_speedup(stats, config))
             continue
         estimates = {name: model.estimate(stats, config)
                      for name, model in model_list}
@@ -226,18 +193,18 @@ def select_stls(device: TestDevice, total_cycles: int,
             stack.extend((c, False) for c in dec.children)
 
     # harvest the chosen antichain
-    selected: List[SelectedSTL] = []
+    selected: List[LoopDecision] = []
 
     def harvest(dec: LoopDecision) -> None:
         if dec.speculate_here:
-            selected.append(SelectedSTL(dec))
+            selected.append(dec)
             return
         for child in dec.children:
             harvest(child)
 
     for root in roots:
         harvest(root)
-    selected.sort(key=lambda s: -s.sequential_cycles)
+    selected.sort(key=lambda s: -s.sequential_time)
 
     # A loop reached from several dynamic parents (e.g. a helper called
     # from two different loops) appears under only its dominant parent
@@ -246,7 +213,7 @@ def select_stls(device: TestDevice, total_cycles: int,
     # keep the larger decomposition, drop any selected descendant.
     ancestors = {s.loop_id: _ancestor_closure(device, s.loop_id)
                  for s in selected}
-    kept: List[SelectedSTL] = []
+    kept: List[LoopDecision] = []
     kept_ids: set = set()
     for cand in selected:
         lid = cand.loop_id
@@ -256,8 +223,7 @@ def select_stls(device: TestDevice, total_cycles: int,
             continue
         kept.append(cand)
         kept_ids.add(lid)
-    return SelectionResult(kept, decisions, total_cycles,
-                           models=resolved)
+    return SelectionResult(kept, decisions, total_cycles, resolved)
 
 
 def _ancestor_closure(device: TestDevice, loop_id: int) -> set:

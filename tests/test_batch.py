@@ -4,6 +4,7 @@ import pytest
 
 from repro.hydra import HydraConfig
 from repro.jrpm.batch import FleetResult, run_fleet
+from repro.jrpm.report import render_characteristics_row
 from repro.workloads import get_workload
 
 SAMPLE = ["IDEA", "monteCarlo", "raytrace"]
@@ -46,17 +47,22 @@ class TestFleet:
     def test_missing_selected_loop_id_raises_not_skews(self, fleet):
         # regression: a selected loop_id absent from the candidate
         # table used to be silently dropped, skewing the Table 6
-        # column f average; it is an inconsistency and must raise
+        # column f average; it is an inconsistency and must raise, in
+        # the fleet table and in the one-program renderer alike
         from repro.errors import PipelineError
 
         row = fleet.by_name["IDEA"]
         assert row.avg_selected_height > 0  # consistent: fine
+        assert "avg_height=" in render_characteristics_row(row.report)
         by_id = row.report.candidates.by_id
         victim = row.report.selection.significant()[0].loop_id
         stashed = by_id.pop(victim)
         try:
             with pytest.raises(PipelineError) as excinfo:
                 row.avg_selected_height
+            assert str(victim) in str(excinfo.value)
+            with pytest.raises(PipelineError) as excinfo:
+                render_characteristics_row(row.report)
             assert str(victim) in str(excinfo.value)
         finally:
             by_id[victim] = stashed

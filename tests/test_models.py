@@ -1,6 +1,6 @@
 """Unit tests for the execution-model subsystem: the registry, the
 live-in predictor, the DOACROSS simulator/estimator, the selector's
-multi-model argmax, and legacy (single-backend) equivalence."""
+multi-model argmax, and the hydra-tls default."""
 
 import json
 
@@ -81,15 +81,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="non-empty name"):
             register_model(SpeculationModel())
 
-    def test_resolve_none_is_legacy(self):
-        assert resolve_models(None) is None
-        assert resolve_models(False) is None
-        assert resolve_models([]) is None
-        assert resolve_models("") is None
+    def test_resolve_none_is_default(self):
+        assert resolve_models(None) == (DEFAULT_MODEL,) == ("hydra-tls",)
+
+    def test_resolve_empty_raises(self):
+        for spec in ([], "", " , "):
+            with pytest.raises(ValueError, match="empty"):
+                resolve_models(spec)
 
     def test_resolve_all(self):
         assert resolve_models("all") == tuple(model_names())
-        assert resolve_models(True) == tuple(model_names())
 
     def test_resolve_list_keeps_order_and_dedupes(self):
         assert resolve_models("doacross, hydra-tls, doacross") \
@@ -323,26 +324,15 @@ class TestSelectorArgmax:
             assert row["model"] in row["estimates"]
 
 
-class TestLegacyEquivalence:
-    def test_legacy_report_has_no_models(self, nest_program):
-        legacy = Jrpm(program=nest_program,
+class TestDefaultModel:
+    def test_default_report_is_hydra_tls(self, nest_program):
+        report = Jrpm(program=nest_program,
                       name="nest").run(simulate_tls=True)
-        assert legacy.models is None
-        data = json.loads(report_json(legacy))
-        assert data["models"] is None
+        assert report.selection.models == ("hydra-tls",)
+        data = json.loads(report_json(report))
+        assert data["models"]["requested"] == ["hydra-tls"]
         for row in data["selection"]["selected"]:
             assert row["model"] == "hydra-tls"
-
-    def test_hydra_only_models_run_matches_legacy(self, nest_program):
-        legacy = Jrpm(program=nest_program,
-                      name="nest").run(simulate_tls=True)
-        wrapped = Jrpm(program=nest_program, name="nest",
-                       models=["hydra-tls"]).run(simulate_tls=True)
-        assert wrapped.models == ("hydra-tls",)
-        assert wrapped.predicted_speedup == legacy.predicted_speedup
-        assert wrapped.actual_speedup == legacy.actual_speedup
-        assert sorted(wrapped.tls_results) == sorted(legacy.tls_results)
-        for loop_id, res in wrapped.tls_results.items():
-            ref = legacy.tls_results[loop_id]
-            assert res.parallel_cycles == ref.parallel_cycles
-            assert res.violations == ref.violations
+        for row in data["models"]["per_loop"]:
+            assert row["model"] == "hydra-tls"
+            assert list(row["estimates"]) == ["hydra-tls"]

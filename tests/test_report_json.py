@@ -101,8 +101,8 @@ def test_serialization_is_deterministic():
 
 class TestSchemaStability:
     def test_schema_version_is_pinned(self):
-        # v4: per-loop "model" in selection rows + nullable "models"
-        assert REPORT_SCHEMA_VERSION == 4
+        # v5: the "models" block is always filled
+        assert REPORT_SCHEMA_VERSION == 5
 
     def test_top_level_keys_are_frozen(self):
         # adding or removing a key is a schema-version bump, not a drift
@@ -137,11 +137,14 @@ class TestSchemaStability:
             "predicted_speedup", "model",
         }
 
-    def test_models_block_is_nullable(self):
-        # legacy runs: null; multi-model runs: the per-loop argmax block
+    def test_models_block_is_always_filled(self):
+        # default runs: hydra-tls alone; multi-model runs: every model
         plain = report_to_dict(_report("BitOps"))
-        assert plain["models"] is None
+        assert plain["models"]["requested"] == ["hydra-tls"]
         validate_report_dict(plain)
+        plain["models"] = None
+        with pytest.raises(ReportSchemaError, match="'models'"):
+            validate_report_dict(plain)
         w = get_workload("BitOps")
         report = Jrpm(source=w.source(), name=w.name,
                       models="all").run(simulate_tls=True)

@@ -50,7 +50,8 @@ def _fake_report(name):
                           "selected": []},
             "predicted_vs_actual": None, "engine": None,
             "trace_jit": None, "optimize_stats": None,
-            "models": None}
+            "models": {"requested": ["hydra-tls"],
+                       "selected_counts": {}, "per_loop": []}}
 
 
 def _request(port: int, method: str, path: str, body=None,
@@ -106,6 +107,20 @@ class TestProtocol:
         d = parse_analyze_request(_body(workload="Huffman", fresh=True))
         assert a.key == d.key
 
+    def test_default_models_share_key(self):
+        """Omitting ``models`` is the same computation as naming the
+        default hydra-tls alone: one key, so the two coalesce and share
+        the result cache."""
+        a = parse_analyze_request(_body(workload="Huffman"))
+        b = parse_analyze_request(_body(workload="Huffman",
+                                        models=["hydra-tls"]))
+        c = parse_analyze_request(_body(workload="Huffman",
+                                        models=["doacross"]))
+        assert a.models == b.models == ("hydra-tls",)
+        assert a.key == b.key and a.profile_key == b.profile_key
+        assert a.describe() == b.describe()
+        assert a.key != c.key
+
     def test_profile_key_groups_compatible_requests(self):
         a = parse_analyze_request(_body(workload="Huffman"))
         b = parse_analyze_request(_body(workload="IDEA"))
@@ -130,6 +145,8 @@ class TestProtocol:
         (_body(workload="Huffman", stages="tls"), "list"),
         (_body(workload="Huffman", level="zzz"), "unknown level"),
         (_body(workload="Huffman", fresh="yes"), "boolean"),
+        (_body(workload="Huffman", models=[]), "non-empty list"),
+        (_body(workload="Huffman", models=["warp"]), "unknown model"),
     ])
     def test_rejects_malformed(self, body, fragment):
         with pytest.raises(ProtocolError) as exc:
@@ -681,6 +698,29 @@ class TestKeepAliveDrain:
         after = service.metrics.to_dict()["requests"].get(
             "other_404", 0)
         assert after == before + 1
+
+    def test_keepalive_round_trips_are_not_delayed(self, service):
+        """Headers and body of a response must not wait on the
+        client's delayed ACK: with Nagle's algorithm on, the body's
+        second small send sat behind the header send for ~40 ms on
+        every keep-alive exchange."""
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=30)
+        try:
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                times.append(time.perf_counter() - start)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        times.sort()
+        median = times[len(times) // 2]
+        assert median < 0.015, "median keep-alive round trip %.1f ms" % (
+            1000 * median)
 
     def test_malformed_content_length_400_and_close(self, service):
         conn = http.client.HTTPConnection("127.0.0.1", service.port,
