@@ -56,7 +56,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.interpreter import run_program
 from repro.tls.engine import TraceEngine
-from repro.tls.simulator import elimination_key, simulate_stl
+from repro.tls.simulator import TraceSimulator
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
 from repro.tracer.selector import select_stls
@@ -308,8 +308,8 @@ def check_source(source: str, seed: Optional[int] = None,
         if cand is None:
             continue
         comp = compile_stl(cand, config)
-        tls = simulate_stl(comp, engine.split(sel.loop_id), config,
-                           engine=engine)
+        simulator = TraceSimulator(comp, config, engine=engine)
+        tls = simulator.simulate(engine.split(sel.loop_id))
         tls_results[sel.loop_id] = tls
         outcome.tls_simulated += 1
         errs = tls.invariant_errors(config)
@@ -322,20 +322,13 @@ def check_source(source: str, seed: Optional[int] = None,
                    % (sel.loop_id, tls.sequential_cycles,
                       profiled.cycles), seed)
         # speculative-buffer limits: an overflow, if any, must land
-        # inside its thread's window (the memoized points the
-        # simulator consumed)
-        eliminated = elimination_key(comp)
-        for entry in engine.split(sel.loop_id):
-            points = engine.overflow_entry(
-                sel.loop_id, entry,
-                engine.prepare_entry(sel.loop_id, entry, eliminated),
-                config)
-            for thread, ov in zip(entry.threads, points):
-                if ov is not None and not 0 <= ov <= thread.size:
-                    _raise(KIND_BUFFER_LIMIT,
-                           "loop %d overflow at rel %d outside thread "
-                           "of %d cycles" % (sel.loop_id, ov,
-                                             thread.size), seed)
+        # inside its thread's window (the points the simulator
+        # consumed)
+        for ov, size in simulator.overflow_points:
+            if not 0 <= ov <= size:
+                _raise(KIND_BUFFER_LIMIT,
+                       "loop %d overflow at rel %d outside thread "
+                       "of %d cycles" % (sel.loop_id, ov, size), seed)
         # path 6: the same trace under the DOACROSS post/wait model
         doa = simulate_doacross(comp, engine.split(sel.loop_id),
                                 config, engine=engine)

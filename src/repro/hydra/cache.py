@@ -4,9 +4,11 @@ The TEST overflow analysis deliberately ignores associativity ("Not
 accounting for associativity introduces some error into the overflow
 analysis, but should not affect its usefulness" — Section 5.3).  The TLS
 timing simulator, by contrast, models the *true* per-thread speculative
-buffers, so this module provides an LRU set-associative occupancy model
-used to decide real overflows — the source of the imprecision the paper
-measures in Figure 11.
+buffers — the source of the imprecision the paper measures in Figure
+11.  This module holds the LRU set-associative and fully associative
+occupancy models of those buffers; the simulator finds the same first
+overflow by counting distinct lines per set, and is tested against
+them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Defaults reproduce the paper exactly:
 
 The 32 B line is the simulator-wide
 :data:`~repro.runtime.heap.LINE_SIZE`, shared by the heap allocator,
-the TEST device and the replay kernels.  Every other value is a
+the TEST device and the replay.  Every other value is a
 constructor parameter so ablation benches can sweep it (the paper
 itself notes future Hydras with larger buffers would change STL
 selection).

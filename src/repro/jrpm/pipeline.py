@@ -172,9 +172,9 @@ class Jrpm:
             min_speedup=self.min_speedup, models=self.models)
 
         # stages 4 + 5: speculative recompilation + execution under
-        # each loop's winning model, replayed through the memoizing
-        # TraceEngine (zero-copy windows, kernels shared across every
-        # selected STL and across config sweeps against the same report)
+        # each loop's winning model, replayed through one TraceEngine
+        # (zero-copy windows split once per loop and shared by every
+        # model that replays it)
         if simulate_tls:
             engine = report.engine = TraceEngine(report.recording)
             for sel in report.selection.selected:

@@ -49,7 +49,7 @@ class SpeculationModel:
         subclass) so ``ProgramTLSOutcome`` and the invariant checks
         apply unchanged.  ``engine`` is the columnar
         :class:`repro.tls.engine.TraceEngine` when one is active;
-        models may use its memoized kernels or ignore it.
+        models may book their replay time in its stats or ignore it.
     """
 
     name = ""

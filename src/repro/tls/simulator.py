@@ -23,11 +23,11 @@ The model fixes the *dependence policy* for the rest:
   store to it — restarts the consumer at the store time plus the
   Table 2 violation/restart penalty, unless the compilation applies
   the Section 6.3 ``synchronize_heap`` optimization, which makes heap
-  arcs wait like locals.  Per-thread speculative state is tracked in a
-  true 4-way LRU model of the L1 read state and a fully associative
-  store-buffer model; a thread that overflows stalls at the overflow
-  point until it becomes the head thread, and its stores after that
-  point are published at their drained times.
+  arcs wait like locals.  Per-thread speculative state is tracked in
+  the set-associative L1 read state and the fully associative store
+  buffer; a thread that overflows stalls at the overflow point until
+  it becomes the head thread, and its stores after that point are
+  published at their drained times.
 * Post/wait (``post_wait=True``: speculative DOACROSS, see
   :mod:`repro.models.doacross`).  Every cross-thread arc waits for its
   producer's post.  One :class:`~repro.tls.predictor.LiveInPredictor`,
@@ -41,42 +41,43 @@ simulator replays the *actual* per-iteration behaviour (thread-size
 variance, real violation timing, associativity), their disagreement
 reproduces the imprecision effects of Section 6.2.
 
-Per-thread analysis is factored into two pure kernels so the columnar
-:class:`~repro.tls.engine.TraceEngine` can memoize them across
-configuration sweeps:
+Each thread is replayed in one pass over its slice of the recording's
+columns.  As an event streams through it is classified (eliminated and
+other-frame locals dropped, loads covered by the thread's own store
+forwarded), checked against the Table 1 speculative buffers, and
+resolved against the latest visible store of its address; only the
+thread's kept stores are buffered, to be published once its start time
+is known.  Row-layout threads feed the same loop through a ``(kind
+code, address, rel)`` adapter.
 
-* :func:`prepare_thread` / :func:`prepare_view` — classification: drop
-  compiler-eliminated locals and other frames' locals, pre-resolve
-  own-store forwarding, and project the heap event sequence.  Depends
-  only on the thread's events, its entry's frame and the compilation's
-  eliminated-slot sets.
-* :func:`overflow_point` — first speculative-buffer overflow of the
-  prepared heap sequence.  Depends only on the Table 1 buffer geometry
-  (``load_buffer_lines``, ``load_buffer_assoc``, ``store_buffer_lines``).
-
-Everything else (dependency resolution, scheduling) is cheap per config
-and re-runs on every sweep point.
+The first overflow is found by counting distinct lines per load-buffer
+set and distinct store-buffer lines.  That is exact for the LRU
+buffers of :mod:`repro.hydra.cache`: a speculative line is only ever
+evicted by an overflow, so LRU order cannot matter before the first
+one fires.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+import time
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hydra.cache import FullyAssocBuffer, SetAssocCache
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.jit.speculative import STLCompilation
-from repro.runtime.events import KIND_LD, KIND_LLD, KIND_ST
-from repro.runtime.heap import line_of
-from repro.tls.predictor import LiveInPredictor
-from repro.tls.thread_trace import (
-    LOCAL_ADDRESS_BASE,
-    EntryTrace,
-    ThreadView,
-    local_frame_of,
-    local_slot_of,
+from repro.runtime.events import (
+    KIND_LD,
+    KIND_LLD,
+    KIND_LST,
+    KIND_NAMES,
+    KIND_ST,
+    local_address,
 )
+from repro.runtime.heap import LINE_SIZE
+from repro.tls.predictor import LiveInPredictor
+from repro.tls.thread_trace import EntryTrace, ThreadView
 
 
 class EntryResult:
@@ -216,124 +217,30 @@ class DoacrossResult(TLSResult):
                    self.predicted_hits, self.predictions))
 
 
-#: classification kernel output: own-filtered dependency loads, stores
-#: in program order, and the heap event projection — each entry is
-#: (rel, address, is_local) for the first two and (rel, is_store, line)
-#: for the third.  Tuples so memoized values are immutable.
-PreparedEvents = Tuple[Tuple[Tuple[int, int, bool], ...],
-                       Tuple[Tuple[int, int, bool], ...],
-                       Tuple[Tuple[int, bool, int], ...]]
+#: kind name -> kind code, for row-layout threads
+_KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
-def elimination_key(compilation: STLCompilation) -> frozenset:
-    """The slots classification actually reads from a compilation:
-    eliminated (inductors/reductions) plus register-allocated
-    invariants.  Identical across configuration sweeps of one STL, so
-    it doubles as the memo-key projection (the same trick the pipeline
-    :class:`~repro.jrpm.cache.ArtifactCache` plays with
-    ``profile_config_key``)."""
-    return compilation.eliminated_slots | compilation.invariant_slots
+def _entry_events(threads: list) -> tuple:
+    """One ``(kind code, address, cycle)`` stream over every event of an
+    entry, plus each thread's ``(event count, window start)``.
 
-
-def prepare_thread(events, eliminated: frozenset, frame_id: int
-                   ) -> PreparedEvents:
-    """Classify one row-shaped thread (list of ``(rel, kind, addr)``)
-    of an entry executed by frame ``frame_id``.
-
-    Drops compiler-eliminated local accesses and every local of another
-    frame (a callee's: frame ids are unique per activation, so those can
-    never carry a cross-thread arc), resolves own-store forwarding (a
-    load preceded by this thread's own store to the same address never
-    leaves the store buffer), and projects the heap event sequence for
-    the overflow model.
+    Columnar windows are contiguous, so the three columns are sliced
+    once per entry and each thread consumes its share of one ``zip``.
+    Row-layout threads go through an adapter: their events are already
+    thread-relative, so their window starts at 0.
     """
-    dep_loads: List[Tuple[int, int, bool]] = []
-    stores: List[Tuple[int, int, bool]] = []
-    heap_seq: List[Tuple[int, bool, int]] = []
-    own = set()
-    for rel, kind, addr in events:
-        if kind == "ld":
-            heap_seq.append((rel, False, line_of(addr)))
-            if addr not in own:
-                dep_loads.append((rel, addr, False))
-        elif kind == "st":
-            heap_seq.append((rel, True, line_of(addr)))
-            stores.append((rel, addr, False))
-            own.add(addr)
-        else:
-            if local_frame_of(addr) != frame_id \
-                    or local_slot_of(addr) in eliminated:
-                continue
-            if kind == "lld":
-                if addr not in own:
-                    dep_loads.append((rel, addr, True))
-            else:
-                stores.append((rel, addr, True))
-                own.add(addr)
-    return tuple(dep_loads), tuple(stores), tuple(heap_seq)
-
-
-def prepare_view(view: ThreadView, eliminated: frozenset, frame_id: int
-                 ) -> PreparedEvents:
-    """Classify one columnar thread window (same rules as
-    :func:`prepare_thread`), reading the shared columns directly — no
-    per-event tuple or string materialization.  The window is sliced
-    out of the arrays once so the loop iterates a C-level ``zip``
-    instead of indexing three columns per event."""
-    rec = view.recording
-    lo, hi = view.lo, view.hi
-    start = view.start
-    dep_loads: List[Tuple[int, int, bool]] = []
-    stores: List[Tuple[int, int, bool]] = []
-    heap_seq: List[Tuple[int, bool, int]] = []
-    dep_append = dep_loads.append
-    stores_append = stores.append
-    heap_append = heap_seq.append
-    own = set()
-    own_add = own.add
-    _line_of = line_of
-    for kind, addr, cyc in zip(rec.kinds[lo:hi], rec.addresses[lo:hi],
-                               rec.cycles[lo:hi]):
-        rel = cyc - start
-        if kind == KIND_LD:
-            heap_append((rel, False, _line_of(addr)))
-            if addr not in own:
-                dep_append((rel, addr, False))
-        elif kind == KIND_ST:
-            heap_append((rel, True, _line_of(addr)))
-            stores_append((rel, addr, False))
-            own_add(addr)
-        else:
-            if addr < LOCAL_ADDRESS_BASE:
-                continue
-            if (addr - LOCAL_ADDRESS_BASE) >> 16 != frame_id:
-                continue
-            if ((addr & 0xFFFF) >> 2) in eliminated:
-                continue
-            if kind == KIND_LLD:
-                if addr not in own:
-                    dep_append((rel, addr, True))
-            else:
-                stores_append((rel, addr, True))
-                own_add(addr)
-    return tuple(dep_loads), tuple(stores), tuple(heap_seq)
-
-
-def overflow_point(heap_seq, config: HydraConfig) -> Optional[int]:
-    """Thread-relative cycle of the first speculative-buffer overflow,
-    if any (true associativity modelled)."""
-    cache = SetAssocCache(config.load_buffer_lines,
-                          config.load_buffer_assoc)
-    store_buf = FullyAssocBuffer(config.store_buffer_lines)
-    cache_touch = cache.touch
-    store_touch = store_buf.touch
-    for rel, is_store, line in heap_seq:
-        if is_store:
-            if store_touch(line):
-                return rel
-        elif cache_touch(line):
-            return rel
-    return None
+    first = threads[0]
+    if type(first) is ThreadView:
+        rec = first.recording
+        lo, hi = first.lo, threads[-1].hi
+        return (zip(rec.kinds[lo:hi], rec.addresses[lo:hi],
+                    rec.cycles[lo:hi]),
+                [(t.hi - t.lo, t.start) for t in threads])
+    codes = _KIND_CODES
+    return (iter([(codes[kind], addr, rel)
+                  for t in threads for rel, kind, addr in t.events]),
+            [(len(t.events), 0) for t in threads])
 
 
 class TraceSimulator:
@@ -342,8 +249,7 @@ class TraceSimulator:
 
     With ``engine`` attached (a :class:`~repro.tls.engine.TraceEngine`
     over the columnar recording the entries were split from), the
-    per-thread classification and overflow kernels are memoized across
-    simulator instances — i.e. across the configurations of a sweep.
+    replay's wall-clock is booked under the engine's ``resolve`` phase.
     """
 
     def __init__(self, compilation: STLCompilation,
@@ -355,7 +261,18 @@ class TraceSimulator:
         #: dependence policy: post/wait (DOACROSS) when set, else
         #: restart-on-violation (Hydra TLS)
         self.post_wait = post_wait
-        self._eliminated = elimination_key(compilation)
+        #: local slots the replay drops: eliminated (inductors,
+        #: reductions) plus register-allocated invariants
+        self._eliminated = (compilation.eliminated_slots
+                            | compilation.invariant_slots)
+        if not post_wait:
+            # reject a malformed Table 1 geometry up front, as the
+            # buffer models of repro.hydra.cache do
+            SetAssocCache(config.load_buffer_lines, config.load_buffer_assoc)
+            FullyAssocBuffer(config.store_buffer_lines)
+        #: ``(overflow rel, thread size)`` of every thread that
+        #: overflowed during the last :meth:`simulate`
+        self.overflow_points: List[Tuple[int, int]] = []
 
     def simulate(self, entries: List[EntryTrace]) -> TLSResult:
         """Simulate every entry of the STL.  Post/wait shares one
@@ -368,14 +285,12 @@ class TraceSimulator:
         else:
             result = TLSResult(loop_id)
             predictor = None
-        engine = self.engine
-        if engine is None:
-            for entry in entries:
-                self._simulate_entry(entry, result, predictor)
-            return result
-        with engine.stats.timed_exclusive("resolve"):
-            for entry in entries:
-                self._simulate_entry(entry, result, predictor)
+        self.overflow_points = []
+        t0 = time.perf_counter()
+        for entry in entries:
+            self._simulate_entry(entry, result, predictor)
+        if self.engine is not None:
+            self.engine.stats.book("resolve", time.perf_counter() - t0)
         return result
 
     def _simulate_entry(self, entry: EntryTrace, result: TLSResult,
@@ -387,27 +302,20 @@ class TraceSimulator:
             result.add(EntryResult(0, entry.total_cycles, 0, 0, 0))
             return
 
-        engine = self.engine
-        eliminated = self._eliminated
-        memoized = engine is not None and type(threads[0]) is ThreadView
-        if memoized:
-            prepared = engine.prepare_entry(
-                self.compilation.loop_id, entry, eliminated)
-        else:
-            frame_id = entry.frame_id
-            prepared = [
-                prepare_view(t, eliminated, frame_id)
-                if type(t) is ThreadView
-                else prepare_thread(t.events, eliminated, frame_id)
-                for t in threads]
-        if self.post_wait:
-            # iterations commit as they go: no speculative buffer
-            overflow_ats = repeat(None, n)
-        elif memoized:
-            overflow_ats = engine.overflow_entry(
-                self.compilation.loop_id, entry, prepared, cfg)
-        else:
-            overflow_ats = [overflow_point(p[2], cfg) for p in prepared]
+        events, windows = _entry_events(threads)
+        # the entry frame's locals, minus the eliminated slots; every
+        # other frame's locals are a callee's (frame ids are unique per
+        # activation), so they never carry a cross-thread arc
+        frame_lo = local_address(entry.frame_id, 0)
+        frame_hi = frame_lo + 0x10000
+        dropped = {local_address(entry.frame_id, slot)
+                   for slot in self._eliminated}
+        line_size = LINE_SIZE
+        # post/wait commits iterations as they go: no speculative buffer
+        buffered = not self.post_wait
+        assoc = cfg.load_buffer_assoc
+        n_sets = cfg.load_buffer_lines // assoc
+        store_capacity = cfg.store_buffer_lines
 
         p = cfg.n_cpus
         comm = cfg.store_load_comm_overhead
@@ -425,37 +333,90 @@ class TraceSimulator:
         prev_start = cfg.startup_overhead  # loop startup before thread 0
         violations = overflows = posts = hits = 0
 
-        for j, (thread, (dep_loads, stores, _), overflow_at) in \
-                enumerate(zip(threads, prepared, overflow_ats)):
+        for j, (thread, (count, w_start)) in enumerate(
+                zip(threads, windows)):
             start = max(cpu_free[j % p], prev_start)
+            #: address -> rel of this thread's latest store to it: the
+            #: kept stores, published once the thread is placed, and the
+            #: own-store forwarding set
+            stored: Dict[int, int] = {}
+            #: (address, rel) of every kept local store, for the predictor
+            local_stores: List[Tuple[int, int]] = []
+            heap_deps: List[Tuple[int, int]] = []
+            # first overflow: distinct lines per load-buffer set and in
+            # the store buffer, counted until one exceeds its capacity
+            overflow_at = None
+            tracking = buffered
+            load_lines = set()
+            set_fill: Dict[int, int] = {}
+            store_lines = set()
 
-            # Locals, and heap arcs under ``wait_heap``, wait for the
-            # producer's store plus the store-load communication delay.
-            # A confident live-in prediction skips the wait when right,
-            # and waits and restarts from the load when wrong.
-            heap_deps = []
-            for rel, addr, is_local in dep_loads:
-                store_abs = last_store.get(addr)
-                if store_abs is None:
-                    continue
-                if not (is_local or wait_heap):
-                    heap_deps.append((rel, store_abs))
-                    continue
-                need = store_abs + comm - rel
-                if is_local and consume is not None:
-                    outcome = consume(addr)
-                    if outcome == "hit":
-                        hits += 1
+            for kind, addr, cyc in islice(events, count):
+                if kind == KIND_LLD:
+                    # a dropped local is never stored, so it never finds
+                    # a producer here and needs no filtering
+                    if addr in stored:
                         continue
-                    if outcome == "miss":
-                        violations += 1
-                        need += restart
+                    store_abs = last_store.get(addr)
+                    if store_abs is None:
+                        continue
+                    # Locals wait for the producer's store plus the
+                    # store-load communication delay.  A confident
+                    # live-in prediction skips the wait when right, and
+                    # waits and restarts from the load when wrong.
+                    need = store_abs + comm - (cyc - w_start)
+                    if consume is not None:
+                        outcome = consume(addr)
+                        if outcome == "hit":
+                            hits += 1
+                            continue
+                        if outcome == "miss":
+                            violations += 1
+                            need += restart
+                        else:
+                            posts += 1
                     else:
                         posts += 1
-                else:
-                    posts += 1
-                if need > start:
-                    start = need
+                    if need > start:
+                        start = need
+                elif kind == KIND_LST:
+                    if frame_lo <= addr < frame_hi and addr not in dropped:
+                        stored[addr] = cyc - w_start
+                        if consume is not None:
+                            local_stores.append((addr, cyc - w_start))
+                elif kind == KIND_LD:
+                    if tracking:
+                        line = addr // line_size
+                        if line not in load_lines:
+                            load_lines.add(line)
+                            s = line % n_sets
+                            fill = set_fill.get(s, 0) + 1
+                            set_fill[s] = fill
+                            if fill > assoc:
+                                overflow_at = cyc - w_start
+                                tracking = False
+                    if addr in stored:
+                        continue
+                    store_abs = last_store.get(addr)
+                    if store_abs is None:
+                        continue
+                    if wait_heap:
+                        posts += 1
+                        need = store_abs + comm - (cyc - w_start)
+                        if need > start:
+                            start = need
+                    else:
+                        heap_deps.append((cyc - w_start, store_abs))
+                else:  # KIND_ST
+                    if tracking:
+                        line = addr // line_size
+                        if line not in store_lines:
+                            if len(store_lines) >= store_capacity:
+                                overflow_at = cyc - w_start
+                                tracking = False
+                            else:
+                                store_lines.add(line)
+                    stored[addr] = cyc - w_start
 
             # Restart on violation: a heap violation fires when the
             # producing store executes and the consumer has already
@@ -481,21 +442,21 @@ class TraceSimulator:
             # resumes as head, so their visible time shifts accordingly
             if overflow_at is None:
                 finish = start + thread.size + eoi
-                for rel, addr, _ in stores:
+                for addr, rel in stored.items():
                     last_store[addr] = start + rel
             else:
                 overflows += 1
+                self.overflow_points.append((overflow_at, thread.size))
                 # stall at the overflow point until head, then drain
                 resume = max(start + overflow_at, commit_prev)
                 finish = resume + (thread.size - overflow_at) + eoi
-                for rel, addr, _ in stores:
+                for addr, rel in stored.items():
                     last_store[addr] = (resume + (rel - overflow_at)
                                         if rel > overflow_at
                                         else start + rel)
             if consume is not None:
-                for rel, addr, is_local in stores:
-                    if is_local:
-                        predictor.observe(addr, rel)
+                for addr, rel in local_stores:
+                    predictor.observe(addr, rel)
 
             if finish > commit_prev:
                 commit_prev = finish

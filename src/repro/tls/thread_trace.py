@@ -72,7 +72,7 @@ class ThreadView:
     Holds ``[lo, hi)`` indices into a :class:`ColumnarRecording` plus
     the window's absolute start cycle; nothing is materialized until a
     consumer asks for the row-shaped ``events`` (compatibility and
-    tests — the simulator kernels read the columns directly).
+    tests — the replay reads the columns directly).
     """
 
     __slots__ = ("recording", "lo", "hi", "start", "size")

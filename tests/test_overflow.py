@@ -1,0 +1,104 @@
+"""The replay's first-overflow count against the Table 1 buffer models.
+
+:class:`~repro.tls.simulator.TraceSimulator` finds a thread's first
+speculative-buffer overflow by counting distinct lines per load-buffer
+set and distinct store-buffer lines.  The LRU occupancy models in
+:mod:`repro.hydra.cache` are the reference: for any access sequence and
+any buffer geometry, the overflow the replay consumes must sit at the
+first access either model reports as overflowing.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hydra import FullyAssocBuffer, HydraConfig, SetAssocCache
+from repro.jit.speculative import STLCompilation
+from repro.runtime.events import ColumnarRecording
+from repro.runtime.heap import LINE_SIZE
+from repro.tls import (
+    EntryTrace,
+    ThreadEvent,
+    ThreadTrace,
+    TraceSimulator,
+    split_trace,
+)
+
+
+class _Candidate:
+    loop_id = 0
+
+    class scalar:
+        inductors = []
+        reductions = []
+        classes = {}
+        carried = []
+
+
+#: (is_store, line, byte offset within the line)
+accesses = st.lists(st.tuples(st.booleans(),
+                              st.integers(min_value=0, max_value=40),
+                              st.integers(min_value=0,
+                                          max_value=LINE_SIZE - 1)),
+                    max_size=80)
+
+#: (load-buffer sets, load-buffer associativity, store-buffer lines)
+geometries = st.tuples(st.integers(min_value=1, max_value=8),
+                       st.sampled_from([1, 2, 4, 8]),
+                       st.integers(min_value=1, max_value=12))
+
+
+def reference_overflow(seq, config):
+    """Index of the first access the LRU buffer models overflow on."""
+    cache = SetAssocCache(config.load_buffer_lines,
+                          config.load_buffer_assoc)
+    store_buf = FullyAssocBuffer(config.store_buffer_lines)
+    for i, (is_store, line, _) in enumerate(seq):
+        touch = store_buf.touch if is_store else cache.touch
+        if touch(line):
+            return i
+    return None
+
+
+def row_entry(seq):
+    events = [ThreadEvent(i, "st" if is_store else "ld",
+                          line * LINE_SIZE + offset)
+              for i, (is_store, line, offset) in enumerate(seq)]
+    return [EntryTrace([ThreadTrace(len(seq) + 1, events)],
+                       len(seq) + 1, frame_id=0)]
+
+
+def columnar_entry(seq):
+    rec = ColumnarRecording()
+    rec.on_sloop(0, 0, 100, 0)
+    for i, (is_store, line, offset) in enumerate(seq):
+        address = line * LINE_SIZE + offset
+        if is_store:
+            rec.on_store(address, 100 + i)
+        else:
+            rec.on_load(address, 100 + i)
+    rec.on_eloop(0, 100 + len(seq) + 1)
+    return split_trace(rec, 0)
+
+
+def replayed_overflow(entries, config):
+    simulator = TraceSimulator(STLCompilation(_Candidate(), config),
+                               config)
+    result = simulator.simulate(entries)
+    assert result.overflows == len(simulator.overflow_points) <= 1
+    if not simulator.overflow_points:
+        return None
+    [(rel, size)] = simulator.overflow_points
+    assert 0 <= rel < size
+    return rel
+
+
+@settings(max_examples=300, deadline=None)
+@given(accesses, geometries)
+def test_first_overflow_matches_buffer_models(seq, geometry):
+    n_sets, assoc, store_lines = geometry
+    config = HydraConfig(load_buffer_lines=n_sets * assoc,
+                         load_buffer_assoc=assoc,
+                         store_buffer_lines=store_lines)
+    want = reference_overflow(seq, config)
+    assert replayed_overflow(row_entry(seq), config) == want
+    assert replayed_overflow(columnar_entry(seq), config) == want

@@ -1,11 +1,11 @@
 """Columnar trace engine: equivalence with the row reference path and
-determinism of the memoized kernels.
+determinism of the replay.
 
 The columnar pipeline (``ColumnarRecording`` -> zero-copy
-``ThreadView`` windows -> ``TraceEngine`` memoized kernels) must be an
+``ThreadView`` windows -> one fused replay pass per thread) must be an
 invisible substitution for the row-of-tuples path — byte-identical
-traces, identical splits, and identical TLS results, with the memo
-layer changing only wall-clock, never outcomes.
+traces, identical splits, and identical TLS results, with the engine's
+split memo changing only wall-clock, never outcomes.
 """
 
 import pickle
@@ -16,6 +16,7 @@ from repro.cfg import find_candidates
 from repro.errors import SimulationError
 from repro.hydra import HydraConfig
 from repro.jit import annotate_program, compile_stl
+from repro.jit.speculative import STLCompilation
 from repro.jrpm import Jrpm
 from repro.jrpm.runtime import ProfilingRuntime
 from repro.lang import compile_source
@@ -26,19 +27,12 @@ from repro.runtime.events import (
     ColumnarRecording,
     MulticastListener,
     RecordingListener,
-    local_address,
 )
 from repro.tls import (
     ThreadView,
     TraceEngine,
     simulate_stl,
     split_trace,
-)
-from repro.tls.engine import classify_entry
-from repro.tls.simulator import (
-    elimination_key,
-    prepare_thread,
-    prepare_view,
 )
 from repro.tracer.device import TestDevice
 from repro.workloads.registry import get_workload
@@ -158,61 +152,69 @@ class TestSplitEquivalence:
                 assert 0 <= view.lo <= view.hi <= len(columnar)
 
 
-class TestClassifyEquivalence:
-    def test_entry_kernel_matches_references(self, both_layouts):
-        """The engine's per-entry kernel equals per-thread prepare_view
-        and the row-layout prepare_thread on every real entry."""
-        table, legacy, columnar = both_layouts
-        config = HydraConfig()
-        for lid in _windowable_loops(table, columnar):
-            eliminated = elimination_key(
-                compile_stl(table.by_id[lid], config))
-            for er, ev in zip(split_trace(legacy, lid),
-                              split_trace(columnar, lid)):
-                want = tuple(prepare_view(v, eliminated, ev.frame_id)
-                             for v in ev.threads)
-                assert classify_entry(ev, eliminated) == want, lid
-                assert tuple(prepare_thread(t.events, eliminated,
-                                            er.frame_id)
-                             for t in er.threads) == want, lid
+def _callee_trace(callee_frame):
+    """Both layouts of three iterations of a loop run by frame 1, each
+    calling into ``callee_frame`` (None: no call).  The callee loads its
+    slots 2 and 5 early and stores them late; slot 2 collides with the
+    loop's eliminated slot 2, slot 5 with nothing.  Reusing one callee
+    frame across iterations means a kept callee local would carry a
+    cross-thread arc."""
+    legacy, columnar = RecordingListener(), ColumnarRecording()
+    both = MulticastListener([legacy, columnar])
+    loop_frame = 1
+    both.on_sloop(0, 8, 0, loop_frame)
+    for it in range(3):
+        base = 10 + 100 * it
+        both.on_local_load(loop_frame, 3, base)
+        both.on_local_load(loop_frame, 2, base + 1)   # eliminated
+        if callee_frame is not None:
+            both.on_local_load(callee_frame, 2, base + 2)
+            both.on_local_load(callee_frame, 5, base + 3)
+            both.on_local_store(callee_frame, 2, base + 60)
+            both.on_local_store(callee_frame, 5, base + 61)
+        both.on_store(0x1000, base + 6)
+        both.on_local_store(loop_frame, 3, base + 7)
+        both.on_eoi(0, base + 90)
+    both.on_eloop(0, 400)
+    return legacy, columnar
 
+
+class TestClassifyEquivalence:
     def test_callee_locals_dropped(self):
         """Locals of a frame other than the loop's never reach the
-        dependency or store lists, whatever their slot: frame ids are
-        unique per activation, so they cannot carry a cross-thread arc.
-        The callee's slot 2 collides with the loop's eliminated slot 2;
-        its slot 5 collides with nothing."""
-        legacy, columnar = RecordingListener(), ColumnarRecording()
-        both = MulticastListener([legacy, columnar])
-        loop_frame, callee = 1, 7
-        both.on_sloop(0, 8, 0, loop_frame)
-        for it in range(3):
-            base = 10 + 100 * it
-            both.on_local_load(loop_frame, 3, base)
-            both.on_local_load(loop_frame, 2, base + 1)   # eliminated
-            both.on_local_store(callee + it, 2, base + 2)
-            both.on_local_load(callee + it, 2, base + 3)
-            both.on_local_store(callee + it, 5, base + 4)
-            both.on_local_load(callee + it, 5, base + 5)
-            both.on_store(0x1000, base + 6)
-            both.on_local_store(loop_frame, 3, base + 7)
-            both.on_eoi(0, base + 90)
-        both.on_eloop(0, 400)
+        replay, whatever their slot: frame ids are unique per
+        activation, so they cannot carry a cross-thread arc.  Replaying
+        the trace with colliding callee slots gives, on both layouts and
+        under both dependence policies, the result of replaying it with
+        the callee events removed."""
 
-        eliminated = frozenset({2})
-        [er] = split_trace(legacy, 0)
-        [ev] = split_trace(columnar, 0)
-        assert ev.frame_id == er.frame_id == loop_frame
-        got = classify_entry(ev, eliminated)
-        assert got == tuple(prepare_view(v, eliminated, loop_frame)
-                            for v in ev.threads)
-        assert got == tuple(prepare_thread(t.events, eliminated,
-                                           loop_frame)
-                            for t in er.threads)
-        kept = local_address(loop_frame, 3)
-        for dep_loads, stores, _ in got:
-            assert [a for _, a, local in dep_loads if local] == [kept]
-            assert [a for _, a, local in stores if local] == [kept]
+        class candidate:
+            loop_id = 0
+
+            class scalar:
+                inductors = [2]
+                reductions = []
+                classes = {}
+                carried = []
+
+        config = HydraConfig()
+        comp = STLCompilation(candidate, config)
+
+        def replay(callee_frame, model):
+            legacy, columnar = _callee_trace(callee_frame)
+            simulate = get_model(model).simulate
+            rows = simulate(comp, split_trace(legacy, 0), config)
+            cols = simulate(comp, split_trace(columnar, 0), config,
+                            engine=TraceEngine(columnar))
+            assert vars(rows) == vars(cols)
+            return vars(rows)
+
+        for model in ("hydra-tls", "doacross"):
+            bare = replay(None, model)
+            assert replay(7, model) == bare, model
+            # the same accesses in the loop's own frame do carry the
+            # slot-5 arc, so the callee events are not inert
+            assert replay(1, model) != bare, model
 
 
 class TestSimulationEquivalence:
@@ -225,7 +227,7 @@ class TestSimulationEquivalence:
 
     def test_engine_matches_row_path(self, both_layouts):
         """Both dependence policies give the same result on the row
-        split without an engine as on the memoized columnar path.  The
+        split without an engine as on the columnar path.  The
         row split is the slow part, so each loop's is built once."""
         table, legacy, columnar = both_layouts
         engine = TraceEngine(columnar)
@@ -276,6 +278,8 @@ class TestSimulationEquivalence:
 
 class TestMemoDeterminism:
     def test_repeat_config_hits_and_matches(self, both_layouts):
+        """Replaying one config twice on one engine gives identical
+        results."""
         table, _, columnar = both_layouts
         engine = TraceEngine(columnar)
         config = HydraConfig()
@@ -292,36 +296,9 @@ class TestMemoDeterminism:
                                  engine=engine)
             assert vars(again) == vars(first[lid])
         after = engine.stats.snapshot()
-        # the second pass must be served entirely from the memos
-        for kernel in ("split", "classify", "overflow"):
-            assert after[kernel]["hits"] > before[kernel]["hits"]
-            assert after[kernel]["misses"] == before[kernel]["misses"]
-
-    def test_config_key_projection_shares_kernels(self, both_layouts):
-        """Configs differing only in fields a kernel ignores reuse it:
-        classification ignores the config entirely, overflow ignores
-        everything but the Table 1 buffer geometry."""
-        table, _, columnar = both_layouts
-        engine = TraceEngine(columnar)
-        lid = _windowable_loops(table, columnar)[0]
-        cand = table.by_id[lid]
-
-        def replay(config):
-            simulate_stl(compile_stl(cand, config), engine.split(lid),
-                         config, engine=engine)
-
-        replay(HydraConfig())
-        misses = engine.stats.snapshot()
-        # same geometry, different overheads/cpus -> all kernels hit
-        replay(HydraConfig(n_cpus=2, store_load_comm_overhead=99))
-        after = engine.stats.snapshot()
-        for kernel in ("split", "classify", "overflow"):
-            assert after[kernel]["misses"] == misses[kernel]["misses"]
-        # shrunk store buffer -> overflow recomputes, classify still hits
-        replay(HydraConfig(store_buffer_lines=4))
-        final = engine.stats.snapshot()
-        assert final["overflow"]["misses"] > after["overflow"]["misses"]
-        assert final["classify"]["misses"] == after["classify"]["misses"]
+        # the second pass reuses every split
+        assert after["split"]["hits"] > before["split"]["hits"]
+        assert after["split"]["misses"] == before["split"]["misses"]
 
     def test_engine_rejects_row_recording(self):
         with pytest.raises(SimulationError):
