@@ -60,6 +60,7 @@ from repro.tls.simulator import TraceSimulator
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
 from repro.tracer.selector import select_stls
+from repro.tracer.stats import STLStats
 from repro.bytecode.verifier import verify_program
 
 
@@ -239,7 +240,8 @@ def check_source(source: str, seed: Optional[int] = None,
     # against the JIT-off reference runs.  Three configurations: the
     # fast loop, the no-op-listener traced loop, and the annotated
     # program with a fresh device — the latter exercises superblock
-    # event emission and marker flushes against the full tracer.
+    # event and marker emission against the full tracer, and must
+    # reproduce every recording column and every loop's statistics.
     jit_fast = run_program(
         program, max_instructions=max_instructions, trace_jit=True,
         trace_jit_threshold=TRACE_JIT_FUZZ_THRESHOLD)
@@ -294,6 +296,23 @@ def check_source(source: str, seed: Optional[int] = None,
                   jit_profiled.instructions, len(jit_recording),
                   profiled.return_value, profiled.cycles,
                   profiled.instructions, len(recording)), seed)
+    for column in ColumnarRecording.COLUMNS:
+        if getattr(jit_recording, column) != getattr(recording, column):
+            _raise(KIND_TRACE_JIT,
+                   "annotated jit recording column %r diverged" % column,
+                   seed)
+    if sorted(jit_device.stats) != sorted(device.stats):
+        _raise(KIND_TRACE_JIT, "annotated jit profiled loops %r, "
+               "reference %r" % (sorted(jit_device.stats),
+                                 sorted(device.stats)), seed)
+    for loop_id, stats in sorted(device.stats.items()):
+        jit_stats = jit_device.stats[loop_id]
+        for field in STLStats.__slots__:
+            if getattr(jit_stats, field) != getattr(stats, field):
+                _raise(KIND_TRACE_JIT,
+                       "annotated jit loop %d %s=%r, reference %r"
+                       % (loop_id, field, getattr(jit_stats, field),
+                          getattr(stats, field)), seed)
     for jit_run in (jit_fast, jit_traced, jit_profiled):
         if jit_run.jit is not None:
             outcome.jit_traces += jit_run.jit["traces_linked"]

@@ -44,14 +44,6 @@ class AnnotationCounter(TraceListener):
     def on_readstats(self, loop_id, cycle):
         self.readstats += 1
 
-    def on_mem_batch(self, events):
-        for ev in events:
-            kind = ev[0]
-            if kind == "lld":
-                self.lwl += 1
-            elif kind == "lst":
-                self.swl += 1
-
     @classmethod
     def from_device(cls, device) -> "AnnotationCounter":
         """Annotation tallies read off a :class:`TestDevice` that saw

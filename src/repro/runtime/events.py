@@ -64,24 +64,37 @@ class TraceListener:
         """The program read collected statistics for ``loop_id``."""
 
     def on_mem_batch(self, events) -> None:
-        """A batch of memory events in program order.
+        """A batch of trace events in program order.
 
-        The interpreter buffers heap and annotated-local events and
-        delivers them in one call per batch (flushing before every loop
-        marker), which drops the per-access Python call overhead.  Each
-        entry is one of::
+        The interpreter buffers heap and annotated-local accesses and
+        the ``sloop``/``eoi``/``readstats`` markers in one ordered list
+        and delivers it in one call per batch, which drops the
+        per-event Python call overhead.  Each entry is one of::
 
             ("ld",  address, cycle, fn, pc)
             ("st",  address, cycle, fn, pc)
             ("lld", frame_id, slot, cycle, fn, pc)
             ("lst", frame_id, slot, cycle, fn, pc)
+            ("sloop", loop_id, n_locals, cycle, frame_id)
+            ("eoi", loop_id, cycle)
+            ("readstats", loop_id, cycle)
+
+        A batch is flushed when it reaches 512 entries and before every
+        ``eloop``, which alone stays a direct :meth:`on_eloop` call: its
+        handler may fire the Sec. 5.2 convergence callback, which
+        patches code and so changes the cycles of what runs next.  A
+        batch can therefore span loop entries and iterations; listeners
+        that keep per-activation state must update it at the marker
+        entries.
 
         ``events`` is only valid for the duration of the call (the
         interpreter reuses the buffer); listeners that retain events
         must copy them.  The default implementation replays the batch
         through the per-event callbacks, so existing listeners work
         unchanged; hot listeners override this for one dispatch per
-        batch instead of one per event.
+        batch instead of one per event, and route the marker entries
+        through ``self.on_sloop``/``on_eoi``/``on_readstats`` so that
+        subclass overrides still fire.
         """
         on_load = self.on_load
         on_store = self.on_store
@@ -95,8 +108,14 @@ class TraceListener:
                 on_store(ev[1], ev[2], ev[3], ev[4])
             elif kind == "lld":
                 on_local_load(ev[1], ev[2], ev[3], ev[4], ev[5])
-            else:
+            elif kind == "lst":
                 on_local_store(ev[1], ev[2], ev[3], ev[4], ev[5])
+            elif kind == "eoi":
+                self.on_eoi(ev[1], ev[2])
+            elif kind == "sloop":
+                self.on_sloop(ev[1], ev[2], ev[3], ev[4])
+            else:
+                self.on_readstats(ev[1], ev[2])
 
 
 class MemEvent(NamedTuple):
@@ -155,9 +174,15 @@ class RecordingListener(TraceListener):
             kind = ev[0]
             if kind == "ld" or kind == "st":
                 append(MemEvent(ev[2], kind, ev[1]))
-            else:
+            elif kind == "lld" or kind == "lst":
                 append(MemEvent(
                     ev[3], kind, local_address(ev[1], ev[2])))
+            elif kind == "eoi":
+                self.on_eoi(ev[1], ev[2])
+            elif kind == "sloop":
+                self.on_sloop(ev[1], ev[2], ev[3], ev[4])
+            else:
+                self.on_readstats(ev[1], ev[2])
 
     def on_sloop(self, loop_id, n_locals, cycle, frame_id=-1):
         self.marks.append(LoopMark(cycle, "sloop", loop_id))
@@ -216,6 +241,10 @@ class ColumnarRecording(TraceListener):
     state, so the splitter reads only the marks of the loop it windows.
     ``marks`` materializes the row view (tests / debugging only).
     """
+
+    #: the seven columns, event columns first
+    COLUMNS = ("kinds", "cycles", "addresses", "mark_kinds",
+               "mark_cycles", "mark_loops", "sloop_frames")
 
     def __init__(self):
         self.kinds = bytearray()
@@ -300,10 +329,16 @@ class ColumnarRecording(TraceListener):
                 kinds_append(KIND_ST)
                 cycles_append(ev[2])
                 addr_append(ev[1])
-            else:
+            elif kind == "lld" or kind == "lst":
                 kinds_append(KIND_LLD if kind == "lld" else KIND_LST)
                 cycles_append(ev[3])
                 addr_append(local_address(ev[1], ev[2]))
+            elif kind == "eoi":
+                self.on_eoi(ev[1], ev[2])
+            elif kind == "sloop":
+                self.on_sloop(ev[1], ev[2], ev[3], ev[4])
+            else:
+                self.on_readstats(ev[1], ev[2])
 
     # -- loop marks ------------------------------------------------------
 

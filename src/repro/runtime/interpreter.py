@@ -19,20 +19,24 @@ Design notes
   ``_run_fast`` (no listener) strips every piece of event plumbing —
   annotation opcodes reduce to a cost charge and a pc bump — and is the
   path plain sequential runs take; ``_run_traced`` publishes trace
-  events, batching memory events (heap *and* annotated locals) into one
-  ordered buffer that is delivered via
-  :meth:`~repro.runtime.events.TraceListener.on_mem_batch` and flushed
-  before every loop marker, so per-event Python call overhead is paid
-  once per batch instead of once per access.
+  events, batching heap and annotated-local accesses and the
+  ``sloop``/``eoi``/``readstats`` markers into one ordered buffer that
+  is delivered via
+  :meth:`~repro.runtime.events.TraceListener.on_mem_batch`, so
+  per-event Python call overhead is paid once per batch instead of once
+  per access.
+* A batch is flushed at 512 entries and before every ``eloop``, the one
+  marker delivered synchronously: its handler may fire the Sec. 5.2
+  convergence callback, which patches ``READSTATS`` sites mid-run and
+  so changes the cycles of every instruction that follows.  A batch may
+  span loop entries and iterations; listeners track the activation
+  stack at its marker entries.
 * The cycle counter only ever increases, so the event stream (and each
   batch) is emitted in non-decreasing cycle order.  The columnar trace
   engine depends on this invariant: ``ColumnarRecording`` appends
   batches straight into flat columns and the cycles column is sorted by
   construction, which is what lets thread windowing bisect it without
-  building a separate index.  Because batches are flushed before every
-  loop marker, a whole batch also belongs to one stable activation
-  stack — listeners may hoist per-activation state out of the per-event
-  loop.
+  building a separate index.
 * ``max_instructions`` bounds runaway programs with a clear error.
 """
 
@@ -83,8 +87,8 @@ _READSTATS = int(Op.READSTATS)
 _PRINT = int(Op.PRINT)
 _NOP = int(Op.NOP)
 
-#: memory events buffered before delivery in the traced loop (shared
-#: with the trace JIT so superblocks flush at identical points)
+#: events buffered before delivery in the traced loop (shared with
+#: the trace JIT)
 _FLUSH_AT = FLUSH_AT
 
 
@@ -486,9 +490,9 @@ class Interpreter:
         on_mem_batch = listener.on_mem_batch
         flush_at = _FLUSH_AT
 
-        # one ordered buffer for heap AND local memory events; flushed
-        # before every loop marker so listeners observe the exact event
-        # order the unbatched interface delivered
+        # one ordered buffer for heap and local accesses and every loop
+        # marker but eloop; flushed when full and before each eloop, so
+        # listeners observe the exact order the unbatched interface did
         buf: List[tuple] = []
         buf_append = buf.append
 
@@ -496,11 +500,10 @@ class Interpreter:
         if jit is not None:
             jstate = jit.state_for(fn_name, MODE_TRACED, len(code))
             # superblocks share buf by identity (cleared, never
-            # rebound), so events they append survive the finally flush
+            # rebound), so events they append survive the error flush
             jenv = (limit, heap.load_addr, heap.store_addr,
                     heap.allocate, heap.length, printed, buf, buf_append,
-                    on_mem_batch, listener.on_sloop, listener.on_eoi,
-                    listener.on_eloop, listener.on_readstats)
+                    on_mem_batch, listener.on_eloop)
         else:
             jstate = None
             jenv = None
@@ -658,28 +661,31 @@ class Interpreter:
                         buf.clear()
                     pc += 1
                 elif op == _EOI:
-                    if buf:
+                    buf_append(("eoi", ins[1], cycles))
+                    if len(buf) >= flush_at:
                         on_mem_batch(buf)
                         buf.clear()
-                    listener.on_eoi(ins[1], cycles)
                     pc += 1
                 elif op == _SLOOP:
-                    if buf:
+                    buf_append(("sloop", ins[1], ins[2], cycles, frame_id))
+                    if len(buf) >= flush_at:
                         on_mem_batch(buf)
                         buf.clear()
-                    listener.on_sloop(ins[1], ins[2], cycles, frame_id)
                     pc += 1
                 elif op == _ELOOP:
+                    # the one synchronous marker: its handler may patch
+                    # code (Sec. 5.2 convergence), so everything before
+                    # it is delivered first
                     if buf:
                         on_mem_batch(buf)
                         buf.clear()
                     listener.on_eloop(ins[1], cycles)
                     pc += 1
                 elif op == _READSTATS:
-                    if buf:
+                    buf_append(("readstats", ins[1], cycles))
+                    if len(buf) >= flush_at:
                         on_mem_batch(buf)
                         buf.clear()
-                    listener.on_readstats(ins[1], cycles)
                     pc += 1
                 elif op == _PRINT:
                     printed.append(slots[ins[1]])
@@ -689,11 +695,14 @@ class Interpreter:
                 else:  # pragma: no cover - exhaustive
                     raise ExecutionError(
                         "unknown opcode %r" % op, pc, fn_name)
-        finally:
-            # deliver events observed before an abnormal exit
+        except ExecutionError:
+            # deliver events observed before the program faulted.  Only
+            # the interpreter's own errors flush: when a listener
+            # raises, its batch was already handed over
             if buf:
                 on_mem_batch(buf)
                 buf.clear()
+            raise
 
 
 def run_program(program: Program,

@@ -59,10 +59,15 @@ A superblock must be observationally identical to the generic loop:
 
 * same return value, heap, printed output;
 * same cycle and instruction counts at every exit;
-* in traced mode, the identical event stream — memory events are
-  appended to the *same* pending batch buffer with the same timestamps
-  and flushed at the same points, and loop markers invoke the same
-  listener callbacks;
+* in traced mode, the identical event stream — memory events and the
+  ``sloop``/``eoi``/``readstats`` markers are appended to the *same*
+  pending batch buffer with the same timestamps, and ``eloop`` flushes
+  that buffer and then calls the listener directly, exactly as the
+  generic loop does.  Where a full batch is flushed is not observable
+  (every entry carries its cycle), so a superblock checks the batch
+  size once per iteration.  ``eloop`` is the one synchronous marker
+  because its handler may fire the Sec. 5.2 convergence callback,
+  which patches code;
 * any instruction that would raise is **not** executed speculatively:
   the superblock deoptimizes *before* it (charging only the preceding
   prefix) and the generic loop re-executes it, producing the canonical
@@ -503,13 +508,13 @@ class _Emitter:
 
     # -- traced-mode event plumbing --------------------------------------
 
-    def _marker(self, call: str, pc: int, after: int, i: int) -> None:
-        """Flush-then-notify for a loop marker, with a patch check:
-        convergence callbacks may rewrite this very function."""
+    def _eloop(self, loop_id: int, pc: int, after: int, i: int) -> None:
+        """Flush-then-notify for ``eloop``, with a patch check: its
+        convergence callback may rewrite this very function."""
         self.emit("if buf:")
         self.emit("    on_mem_batch(buf)")
         self.emit("    buf.clear()")
-        self.emit(call)
+        self.emit("on_eloop(%d, cycles + %d)" % (loop_id, after))
         self.emit("if not _valid[0]:")
         self.emit("    " + self._exit(pc + 1, after, i + 1))
 
@@ -641,20 +646,19 @@ class _Emitter:
                           % (ins[1], after, self.const(self.fn_name), pc))
         elif op == _SLOOP:
             if traced:
-                self._marker("on_sloop(%d, %d, cycles + %d, frame_id)"
-                             % (ins[1], ins[2], after), pc, after, i)
+                self.emit("buf_append((\"sloop\", %d, %d, cycles + %d, "
+                          "frame_id))" % (ins[1], ins[2], after))
         elif op == _EOI:
             if traced:
-                self._marker("on_eoi(%d, cycles + %d)" % (ins[1], after),
-                             pc, after, i)
+                self.emit("buf_append((\"eoi\", %d, cycles + %d))"
+                          % (ins[1], after))
         elif op == _ELOOP:
             if traced:
-                self._marker("on_eloop(%d, cycles + %d)"
-                             % (ins[1], after), pc, after, i)
+                self._eloop(ins[1], pc, after, i)
         elif op == _READSTATS:
             if traced:
-                self._marker("on_readstats(%d, cycles + %d)"
-                             % (ins[1], after), pc, after, i)
+                self.emit("buf_append((\"readstats\", %d, cycles + %d))"
+                          % (ins[1], after))
         # NOP and fast-mode annotations: cost-only, no code
 
     # -- assembly --------------------------------------------------------
@@ -671,8 +675,7 @@ class _Emitter:
             lines.append("        (limit, heap_load_addr, "
                          "heap_store_addr, heap_allocate, heap_length,")
             lines.append("         printed, buf, buf_append, "
-                         "on_mem_batch, on_sloop, on_eoi, on_eloop,")
-            lines.append("         on_readstats) = env")
+                         "on_mem_batch, on_eloop) = env")
         else:
             lines.append("    def _superblock(slots, cycles, executed, "
                          "env):")
@@ -703,9 +706,9 @@ class _Emitter:
                          % self.exit_pc)
         elif self.mode == MODE_TRACED:
             # one flush check per iteration instead of one per event:
-            # batch boundaries are not observable (each event carries
-            # its exact cycle), only marker ordering is, and markers
-            # flush synchronously above
+            # batch boundaries are not observable (each entry carries
+            # its exact cycle), only order is, and eloop flushes
+            # synchronously above
             lines.append("            if len(buf) >= %d:" % FLUSH_AT)
             lines.append("                on_mem_batch(buf)")
             lines.append("                buf.clear()")
@@ -884,25 +887,25 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
                 on_mem_batch(buf)
                 buf.clear()
         elif traced and op == _SLOOP:
-            if buf:
+            buf_append(("sloop", ins[1], ins[2], cycles, frame_id))
+            if len(buf) >= FLUSH_AT:
                 on_mem_batch(buf)
                 buf.clear()
-            listener.on_sloop(ins[1], ins[2], cycles, frame_id)
         elif traced and op == _EOI:
-            if buf:
+            buf_append(("eoi", ins[1], cycles))
+            if len(buf) >= FLUSH_AT:
                 on_mem_batch(buf)
                 buf.clear()
-            listener.on_eoi(ins[1], cycles)
         elif traced and op == _ELOOP:
             if buf:
                 on_mem_batch(buf)
                 buf.clear()
             listener.on_eloop(ins[1], cycles)
         elif traced and op == _READSTATS:
-            if buf:
+            buf_append(("readstats", ins[1], cycles))
+            if len(buf) >= FLUSH_AT:
                 on_mem_batch(buf)
                 buf.clear()
-            listener.on_readstats(ins[1], cycles)
         elif op == _NOP or op >= _SLOOP:
             pass  # fast mode: annotations are pure cost
         else:  # pragma: no cover - exhaustive

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set
 from repro.errors import TracerError
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.runtime.events import TraceListener
-from repro.runtime.heap import LINE_SIZE, line_of
+from repro.runtime.heap import LINE_SIZE
 from repro.tracer.bank import ArcSink, ComparatorBank
 from repro.tracer.stats import STLStats
 from repro.tracer.timestamps import (
@@ -254,169 +254,96 @@ class TestDevice(TraceListener):
 
     # -- memory events ---------------------------------------------------------
 
+    # The per-event hooks are one-entry batches through the device's own
+    # loop (named explicitly, so a subclass that replays batches through
+    # these hooks does not recurse).
+
     def on_load(self, address, cycle, fn="", pc=-1):
-        self.n_loads += 1
-        store_ts = self.heap_ts.lookup(address)
-        line = line_of(address)
-        old_line = self.ld_line_ts.lookup(line)
-        for act in self._stack:
-            bank = act.bank
-            if bank is not None:
-                bank.observe_load(store_ts, cycle, False, fn, pc)
-                bank.observe_line_load(old_line)
-        self.ld_line_ts.record(line, cycle)
+        TestDevice.on_mem_batch(self, (("ld", address, cycle, fn, pc),))
 
     def on_store(self, address, cycle, fn="", pc=-1):
-        self.n_stores += 1
-        line = line_of(address)
-        old_line = self.st_line_ts.lookup(line)
-        for act in self._stack:
-            bank = act.bank
-            if bank is not None:
-                bank.observe_line_store(old_line)
-        self.st_line_ts.record(line, cycle)
-        self.heap_ts.record(address, cycle)
+        TestDevice.on_mem_batch(self, (("st", address, cycle, fn, pc),))
 
     def on_local_load(self, frame_id, slot, cycle, fn="", pc=-1):
-        self.n_local_loads += 1
-        ts = self.local_ts.lookup(frame_id, slot)
-        if ts is None:
-            return
-        for act in self._stack:
-            bank = act.bank
-            if bank is None or act.frame_id != frame_id:
-                continue
-            if act.allowed_slots is not None \
-                    and slot not in act.allowed_slots:
-                continue
-            bank.observe_load(ts, cycle, True, fn, pc)
+        TestDevice.on_mem_batch(
+            self, (("lld", frame_id, slot, cycle, fn, pc),))
 
     def on_local_store(self, frame_id, slot, cycle, fn="", pc=-1):
-        self.n_local_stores += 1
-        self.local_ts.record(frame_id, slot, cycle)
+        TestDevice.on_mem_batch(
+            self, (("lst", frame_id, slot, cycle, fn, pc),))
 
     def on_mem_batch(self, events):
-        """Process one interpreter memory-event batch.
+        """Process one interpreter event batch.
 
-        Inlines the four per-event handlers with the table accessors
-        hoisted; the activation stack cannot change mid-batch because
-        the interpreter flushes before every loop marker — so the
-        banked-activation scan is also hoisted to once per batch
-        instead of once per event.  The line tables are touched with a
-        single combined lookup+record call, and batches arriving while
-        no bank is armed (pre-warmup, converged, or unbanked phases)
-        take a slimmer loop that skips every lookup whose only consumer
-        is a bank observation.
+        Inlines the four memory-event handlers with the table accessors
+        hoisted, and hands the marker entries to ``self.on_sloop`` /
+        ``on_eoi`` / ``on_readstats``.  The banked activations are
+        scanned once per batch and again after each ``sloop``, the only
+        entry that can arm or steal a bank (``eloop``, which frees one,
+        is never inside a batch).  The line tables are touched with a
+        single combined lookup+record call; with no bank armed
+        (pre-warmup, converged or unbanked phases) the timestamp tables
+        are still kept current for banks armed later, but no lookup
+        whose only consumer is a bank is made.
         """
         heap_record = self.heap_ts.record
+        heap_get = self.heap_ts.get
         ld_touch = self.ld_line_ts.touch
         st_touch = self.st_line_ts.touch
         local_record = self.local_ts.record
+        local_get = self.local_ts.get
         line_size = LINE_SIZE
         n_loads = n_stores = n_local_loads = n_local_stores = 0
         banked = [act for act in self._stack if act.bank is not None]
-        if not banked:
-            # timestamp tables must stay current for banks armed later
-            # (sampling re-arms them mid-run), but nothing consumes the
-            # lookup results now
-            for ev in events:
-                kind = ev[0]
-                if kind == "ld":
-                    n_loads += 1
-                    ld_touch(ev[1] // line_size, ev[2])
-                elif kind == "st":
-                    n_stores += 1
-                    st_touch(ev[1] // line_size, ev[2])
-                    heap_record(ev[1], ev[2])
-                elif kind == "lld":
-                    n_local_loads += 1
-                else:
-                    n_local_stores += 1
-                    local_record(ev[1], ev[2], ev[3])
-        elif len(banked) == 1:
-            # the overwhelmingly common shape — one STL sampling at a
-            # time — gets the bank's observers hoisted out of the loop
-            heap_get = self.heap_ts.get
-            local_get = self.local_ts.get
-            act0 = banked[0]
-            bank0 = act0.bank
-            observe_load = bank0.observe_load
-            observe_line_load = bank0.observe_line_load
-            observe_line_store = bank0.observe_line_store
-            frame0 = act0.frame_id
-            allowed0 = act0.allowed_slots
-            for ev in events:
-                kind = ev[0]
-                if kind == "ld":
-                    n_loads += 1
-                    address = ev[1]
-                    cycle = ev[2]
-                    observe_load(heap_get(address), cycle, False,
-                                 ev[3], ev[4])
-                    observe_line_load(
-                        ld_touch(address // line_size, cycle))
-                elif kind == "st":
-                    n_stores += 1
-                    address = ev[1]
-                    cycle = ev[2]
-                    observe_line_store(
-                        st_touch(address // line_size, cycle))
-                    heap_record(address, cycle)
-                elif kind == "lld":
-                    n_local_loads += 1
-                    frame_id = ev[1]
-                    slot = ev[2]
-                    ts = local_get((frame_id, slot))
-                    if ts is None or frame_id != frame0:
-                        continue
-                    if allowed0 is not None and slot not in allowed0:
-                        continue
-                    observe_load(ts, ev[3], True, ev[4], ev[5])
-                else:
-                    n_local_stores += 1
-                    local_record(ev[1], ev[2], ev[3])
-        else:
-            heap_get = self.heap_ts.get
-            local_get = self.local_ts.get
-            for ev in events:
-                kind = ev[0]
-                if kind == "ld":
-                    n_loads += 1
-                    address = ev[1]
-                    cycle = ev[2]
+        for ev in events:
+            kind = ev[0]
+            if kind == "ld":
+                n_loads += 1
+                address = ev[1]
+                cycle = ev[2]
+                old_line = ld_touch(address // line_size, cycle)
+                if banked:
                     store_ts = heap_get(address)
-                    old_line = ld_touch(address // line_size, cycle)
                     for act in banked:
                         bank = act.bank
                         bank.observe_load(store_ts, cycle, False,
                                           ev[3], ev[4])
                         bank.observe_line_load(old_line)
-                elif kind == "st":
-                    n_stores += 1
-                    address = ev[1]
-                    cycle = ev[2]
-                    old_line = st_touch(address // line_size, cycle)
-                    for act in banked:
-                        act.bank.observe_line_store(old_line)
-                    heap_record(address, cycle)
-                elif kind == "lld":
-                    n_local_loads += 1
-                    frame_id = ev[1]
-                    slot = ev[2]
-                    ts = local_get((frame_id, slot))
-                    if ts is None:
+            elif kind == "st":
+                n_stores += 1
+                address = ev[1]
+                cycle = ev[2]
+                old_line = st_touch(address // line_size, cycle)
+                for act in banked:
+                    act.bank.observe_line_store(old_line)
+                heap_record(address, cycle)
+            elif kind == "lld":
+                n_local_loads += 1
+                if not banked:
+                    continue
+                frame_id = ev[1]
+                slot = ev[2]
+                ts = local_get((frame_id, slot))
+                if ts is None:
+                    continue
+                for act in banked:
+                    if act.frame_id != frame_id:
                         continue
-                    for act in banked:
-                        if act.frame_id != frame_id:
-                            continue
-                        if act.allowed_slots is not None \
-                                and slot not in act.allowed_slots:
-                            continue
-                        act.bank.observe_load(ts, ev[3], True,
-                                              ev[4], ev[5])
-                else:
-                    n_local_stores += 1
-                    local_record(ev[1], ev[2], ev[3])
+                    if act.allowed_slots is not None \
+                            and slot not in act.allowed_slots:
+                        continue
+                    act.bank.observe_load(ts, ev[3], True, ev[4], ev[5])
+            elif kind == "lst":
+                n_local_stores += 1
+                local_record(ev[1], ev[2], ev[3])
+            elif kind == "eoi":
+                self.on_eoi(ev[1], ev[2])
+            elif kind == "sloop":
+                self.on_sloop(ev[1], ev[2], ev[3], ev[4])
+                banked = [act for act in self._stack
+                          if act.bank is not None]
+            else:
+                self.on_readstats(ev[1], ev[2])
         self.n_loads += n_loads
         self.n_stores += n_stores
         self.n_local_loads += n_local_loads

@@ -10,6 +10,7 @@ from repro.runtime import (
     Heap,
     LINE_SIZE,
     RecordingListener,
+    TraceListener,
     WORD_SIZE,
     line_of,
     run_program,
@@ -227,6 +228,26 @@ class TestDispatchPaths:
         with pytest.raises(ExecutionError):
             run_program(compile_source(src), listener=rec)
         assert [e.kind for e in rec.mem] == ["st"]
+
+    @pytest.mark.parametrize("trace_jit", [False, True],
+                             ids=["jit-off", "jit-on"])
+    def test_listener_error_does_not_redeliver_batch(self, trace_jit):
+        # a listener that raises has already been handed its batch: the
+        # error path must not deliver the same events a second time
+        class Refuses(TraceListener):
+            def __init__(self):
+                self.batches = []
+
+            def on_mem_batch(self, events):
+                self.batches.append(list(events))
+                raise RuntimeError("listener failed")
+
+        refuses = Refuses()
+        with pytest.raises(RuntimeError):
+            run_program(compile_source(self.MEMORY_HEAVY),
+                        listener=refuses, trace_jit=trace_jit)
+        assert len(refuses.batches) == 1
+        assert len(refuses.batches[0]) >= 512
 
     def test_rerun_same_interpreter_instance(self):
         from repro.runtime.interpreter import Interpreter
