@@ -63,10 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="emit the machine-readable report (same "
                           "schema and bytes as the analysis service)")
     run.add_argument("--trace-jit", action=argparse.BooleanOptionalAction,
-                     default=None,
+                     default=True,
                      help="run the interpreter's trace-recording "
-                          "superblock JIT (default on; JRPM_TRACE_JIT "
-                          "overrides when neither flag is given)")
+                          "superblock JIT (default on)")
     run.add_argument("--optimize", action="store_true",
                      help="run the LVN/LICM/DCE pass pipeline on the "
                           "bytecode before annotation")
@@ -108,10 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'jrpm run --json' and the service)")
     fleet.add_argument("--trace-jit",
                        action=argparse.BooleanOptionalAction,
-                       default=None,
+                       default=True,
                        help="trace-recording superblock JIT in every "
-                            "worker (default on; JRPM_TRACE_JIT "
-                            "overrides when neither flag is given)")
+                            "worker (default on)")
     fleet.add_argument("--optimize", action="store_true",
                        help="run the LVN/LICM/DCE pass pipeline in "
                             "every worker before annotation")
@@ -177,10 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log every HTTP request to stderr")
     serve.add_argument("--trace-jit",
                        action=argparse.BooleanOptionalAction,
-                       default=None,
+                       default=True,
                        help="trace-recording superblock JIT for all "
-                            "analyses (default on; JRPM_TRACE_JIT "
-                            "overrides when neither flag is given)")
+                            "analyses (default on)")
 
     cache = sub.add_parser(
         "cache", help="inspect or maintain an artifact cache directory")

@@ -48,7 +48,6 @@ from repro.models import get_model, resolve_models
 from repro.runtime.costs import DEFAULT_COSTS, CostModel
 from repro.runtime.events import ColumnarRecording, MulticastListener
 from repro.runtime.interpreter import Interpreter, RunResult, run_program
-from repro.runtime.tracejit import resolve_trace_jit
 from repro.tls.engine import TraceEngine
 from repro.tls.simulator import TLSResult
 from repro.tls.stats import ProgramTLSOutcome
@@ -121,7 +120,7 @@ class Jrpm:
                  max_instructions: int = 200_000_000,
                  cache: Optional[ArtifactCache] = None,
                  stage_hook=None,
-                 trace_jit: Optional[bool] = None,
+                 trace_jit: bool = True,
                  models=None):
         if (source is None) == (program is None):
             raise PipelineError(
@@ -149,9 +148,7 @@ class Jrpm:
         #: injection harness hangs off this
         self.stage_hook = stage_hook
         #: run the interpreter with the trace-recording superblock JIT
-        #: (None consults JRPM_TRACE_JIT, default on); resolved eagerly
-        #: so cache keys reflect the effective value, never the env
-        self.trace_jit = resolve_trace_jit(trace_jit)
+        self.trace_jit = trace_jit
         #: execution models competing per loop ("all", a name list, or
         #: None for the paper's hydra-tls alone); resolved eagerly so
         #: unknown names fail at construction

@@ -17,7 +17,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.heap import LINE_SIZE, WORD_SIZE, Heap, line_of
 from repro.runtime.interpreter import Interpreter, RunResult, run_program
-from repro.runtime.tracejit import TraceJIT, TraceJITError, resolve_trace_jit
+from repro.runtime.tracejit import TraceJIT, TraceJITError
 
 __all__ = [
     "ColumnarRecording",
@@ -38,6 +38,5 @@ __all__ = [
     "WORD_SIZE",
     "line_of",
     "local_address",
-    "resolve_trace_jit",
     "run_program",
 ]

@@ -31,6 +31,13 @@ Design notes
   so changes the cycles of every instruction that follows.  A batch may
   span loop entries and iterations; listeners track the activation
   stack at its marker entries.
+* Both loops hand a hot backedge target to one trace point,
+  :func:`_trace_point`, which warms, records, runs and chains the
+  :mod:`~repro.runtime.tracejit` superblocks of the loop's mode.  The
+  fast loop passes no listener, buffer or frame id; fast and traced
+  superblocks share one signature.  ``trace_jit=False`` turns the JIT
+  off and leaves the plain loops, the reference the JIT is checked
+  against.
 * The cycle counter only ever increases, so the event stream (and each
   batch) is emitted in non-decreasing cycle order.  The columnar trace
   engine depends on this invariant: ``ColumnarRecording`` appends
@@ -51,45 +58,37 @@ from repro.runtime.costs import DEFAULT_COSTS, CostModel
 from repro.runtime.events import TraceListener
 from repro.runtime.heap import Heap
 from repro.runtime.tracejit import (
+    _ALOAD,
+    _ASTORE,
+    _BIN,
+    _BR,
+    _CALL,
+    _CONST,
+    _ELOOP,
+    _EOI,
+    _INTRIN,
+    _JMP,
+    _LEN,
+    _LWL,
+    _MOV,
+    _NEWARR,
+    _NOP,
+    _PRINT,
+    _READSTATS,
+    _RET,
+    _SLOOP,
+    _SWL,
+    _UN,
     BLACKLIST_MIN_OPS,
     BLACKLIST_PROBE,
     FLUSH_AT,
     MODE_FAST,
-    MODE_FAST_TAIL,
     MODE_TRACED,
-    MODE_TRACED_TAIL,
+    TAIL,
     TraceJIT,
     record_and_link,
-    resolve_trace_jit,
 )
 from repro.runtime.values import apply_binop, apply_intrinsic, apply_unop
-
-# plain-int opcodes for the dispatch loops (enum compares are slow)
-_CONST = int(Op.CONST)
-_MOV = int(Op.MOV)
-_BIN = int(Op.BIN)
-_UN = int(Op.UN)
-_NEWARR = int(Op.NEWARR)
-_ALOAD = int(Op.ALOAD)
-_ASTORE = int(Op.ASTORE)
-_LEN = int(Op.LEN)
-_JMP = int(Op.JMP)
-_BR = int(Op.BR)
-_CALL = int(Op.CALL)
-_RET = int(Op.RET)
-_INTRIN = int(Op.INTRIN)
-_SLOOP = int(Op.SLOOP)
-_EOI = int(Op.EOI)
-_ELOOP = int(Op.ELOOP)
-_LWL = int(Op.LWL)
-_SWL = int(Op.SWL)
-_READSTATS = int(Op.READSTATS)
-_PRINT = int(Op.PRINT)
-_NOP = int(Op.NOP)
-
-#: events buffered before delivery in the traced loop (shared with
-#: the trace JIT)
-_FLUSH_AT = FLUSH_AT
 
 
 def _decode_one(ins) -> tuple:
@@ -120,9 +119,10 @@ class RunResult:
             self.cycles, self.instructions, self.return_value)
 
 
-def _trace_point_fast(jit, jstate, anchor, fn_name, code, costs, slots,
-                      heap, printed, cycles, executed, limit, jenv):
-    """Handle a hot backedge target in the fast loop.
+def _trace_point(jit, mode, jstate, anchor, fn_name, code, costs, slots,
+                 heap, printed, cycles, executed, limit, jenv, listener,
+                 buf, frame_id):
+    """Handle a hot backedge target in either dispatch loop.
 
     The inline site has already filtered blacklisted anchors; here the
     anchor is either warming (int countdown), due for recording, or
@@ -130,20 +130,22 @@ def _trace_point_fast(jit, jstate, anchor, fn_name, code, costs, slots,
     is dispatched to the next linked trace — the loop trace at a
     backedge target, or a tail trace at a hot side exit — so control
     only returns to the generic loop when no superblock covers the
-    exit.  Returns ``(pc, cycles, executed)`` for the loop to adopt.
+    exit.  The fast loop passes ``listener=None, buf=None,
+    frame_id=-1``; its superblocks ignore ``frame_id``.  Returns
+    ``(pc, cycles, executed)`` for the loop to adopt.
     """
     trace = jstate[anchor]
     if trace.__class__ is int:
         if trace > 1:
             jstate[anchor] = trace - 1
             return anchor, cycles, executed
-        return record_and_link(jit, MODE_FAST, fn_name, anchor, code,
-                               costs, len(slots), slots, heap, printed,
-                               cycles, executed, limit)
-    tstate = jit.state_for(fn_name, MODE_FAST_TAIL, len(code))
+        return record_and_link(jit, mode, fn_name, anchor, code, costs,
+                               len(slots), slots, heap, printed, cycles,
+                               executed, limit, listener, buf, frame_id)
+    tstate = jit.state_for(fn_name, mode + TAIL, len(code))
     state = jstate
     while True:
-        res = trace.fn(slots, cycles, executed, jenv)
+        res = trace.fn(slots, cycles, executed, frame_id, jenv)
         delta = res[2] - executed
         trace.invocations += 1
         trace.ops += delta
@@ -173,65 +175,10 @@ def _trace_point_fast(jit, jstate, anchor, fn_name, code, costs, slots,
             if nxt > 1:
                 tstate[npc] = nxt - 1
                 return res
-            return record_and_link(jit, MODE_FAST, fn_name, npc, code,
-                                   costs, len(slots), slots, heap,
-                                   printed, cycles, executed, limit,
-                                   tail=True)
-        trace = nxt
-        state = tstate
-
-
-def _trace_point_traced(jit, jstate, anchor, fn_name, code, costs, slots,
-                        heap, printed, cycles, executed, limit, jenv,
-                        listener, buf, frame_id):
-    """Traced-loop twin of :func:`_trace_point_fast`: superblocks and
-    the recorder publish the identical event stream."""
-    trace = jstate[anchor]
-    if trace.__class__ is int:
-        if trace > 1:
-            jstate[anchor] = trace - 1
-            return anchor, cycles, executed
-        return record_and_link(jit, MODE_TRACED, fn_name, anchor, code,
-                               costs, len(slots), slots, heap, printed,
-                               cycles, executed, limit,
-                               listener=listener, buf=buf,
-                               frame_id=frame_id)
-    tstate = jit.state_for(fn_name, MODE_TRACED_TAIL, len(code))
-    state = jstate
-    while True:
-        res = trace.fn(slots, cycles, executed, frame_id, jenv)
-        delta = res[2] - executed
-        trace.invocations += 1
-        trace.ops += delta
-        full = delta // trace.n_ops
-        trace.iterations += full
-        if delta - full * trace.n_ops:
-            trace.aborts += 1
-        if trace.invocations == BLACKLIST_PROBE and \
-                trace.ops < BLACKLIST_PROBE * BLACKLIST_MIN_OPS:
-            jit.blacklist(state, trace.anchor)
-        if delta == 0:
-            return res
-        npc = res[0]
-        cycles = res[1]
-        executed = res[2]
-        nxt = jstate[npc]
-        if nxt is not None and nxt.__class__ is not int:
-            trace = nxt
-            state = jstate
-            continue
-        nxt = tstate[npc]
-        if nxt is None:
-            return res
-        if nxt.__class__ is int:
-            if nxt > 1:
-                tstate[npc] = nxt - 1
-                return res
-            return record_and_link(jit, MODE_TRACED, fn_name, npc, code,
-                                   costs, len(slots), slots, heap,
-                                   printed, cycles, executed, limit,
-                                   listener=listener, buf=buf,
-                                   frame_id=frame_id, tail=True)
+            return record_and_link(jit, mode, fn_name, npc, code, costs,
+                                   len(slots), slots, heap, printed,
+                                   cycles, executed, limit, listener,
+                                   buf, frame_id, tail=True)
         trace = nxt
         state = tstate
 
@@ -243,7 +190,7 @@ class Interpreter:
                  cost_model: CostModel = None,
                  listener: Optional[TraceListener] = None,
                  max_instructions: int = 200_000_000,
-                 trace_jit: Optional[bool] = None,
+                 trace_jit: bool = True,
                  trace_jit_threshold: Optional[int] = None):
         self.program = program
         self.cost_model = cost_model if cost_model is not None \
@@ -252,10 +199,9 @@ class Interpreter:
         self.max_instructions = max_instructions
         self._cost_cache = {}
         self._decoded_cache = {}
-        # trace JIT: None consults JRPM_TRACE_JIT (default on); linked
-        # traces persist across run() calls of this instance, like the
-        # decoded/cost caches they are compiled from
-        self.trace_jit = resolve_trace_jit(trace_jit)
+        # linked traces persist across run() calls of this instance,
+        # like the decoded/cost caches they are compiled from
+        self.trace_jit = trace_jit
         self._jit = TraceJIT(threshold=trace_jit_threshold) \
             if self.trace_jit else None
 
@@ -362,18 +308,20 @@ class Interpreter:
                 npc = ins[2] if slots[ins[1]] else ins[3]
                 if npc <= pc and jstate is not None \
                         and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point_fast(
-                        jit, jstate, npc, fn_name, code, costs, slots,
-                        heap, printed, cycles, executed, limit, jenv)
+                    pc, cycles, executed = _trace_point(
+                        jit, MODE_FAST, jstate, npc, fn_name, code, costs,
+                        slots, heap, printed, cycles, executed, limit,
+                        jenv, None, None, -1)
                 else:
                     pc = npc
             elif op == _JMP:
                 npc = ins[1]
                 if npc <= pc and jstate is not None \
                         and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point_fast(
-                        jit, jstate, npc, fn_name, code, costs, slots,
-                        heap, printed, cycles, executed, limit, jenv)
+                    pc, cycles, executed = _trace_point(
+                        jit, MODE_FAST, jstate, npc, fn_name, code, costs,
+                        slots, heap, printed, cycles, executed, limit,
+                        jenv, None, None, -1)
                 else:
                     pc = npc
             elif op == _ALOAD:
@@ -488,7 +436,7 @@ class Interpreter:
         heap_store = heap.store
         heap_address = heap.address
         on_mem_batch = listener.on_mem_batch
-        flush_at = _FLUSH_AT
+        flush_at = FLUSH_AT
 
         # one ordered buffer for heap and local accesses and every loop
         # marker but eloop; flushed when full and before each eloop, so
@@ -536,20 +484,22 @@ class Interpreter:
                     npc = ins[2] if slots[ins[1]] else ins[3]
                     if npc <= pc and jstate is not None \
                             and jstate[npc] is not None:
-                        pc, cycles, executed = _trace_point_traced(
-                            jit, jstate, npc, fn_name, code, costs,
-                            slots, heap, printed, cycles, executed,
-                            limit, jenv, listener, buf, frame_id)
+                        pc, cycles, executed = _trace_point(
+                            jit, MODE_TRACED, jstate, npc, fn_name, code,
+                            costs, slots, heap, printed, cycles,
+                            executed, limit, jenv, listener, buf,
+                            frame_id)
                     else:
                         pc = npc
                 elif op == _JMP:
                     npc = ins[1]
                     if npc <= pc and jstate is not None \
                             and jstate[npc] is not None:
-                        pc, cycles, executed = _trace_point_traced(
-                            jit, jstate, npc, fn_name, code, costs,
-                            slots, heap, printed, cycles, executed,
-                            limit, jenv, listener, buf, frame_id)
+                        pc, cycles, executed = _trace_point(
+                            jit, MODE_TRACED, jstate, npc, fn_name, code,
+                            costs, slots, heap, printed, cycles,
+                            executed, limit, jenv, listener, buf,
+                            frame_id)
                     else:
                         pc = npc
                 elif op == _ALOAD:
@@ -709,7 +659,7 @@ def run_program(program: Program,
                 cost_model: CostModel = None,
                 listener: Optional[TraceListener] = None,
                 max_instructions: int = 200_000_000,
-                trace_jit: Optional[bool] = None,
+                trace_jit: bool = True,
                 trace_jit_threshold: Optional[int] = None) -> RunResult:
     """One-call convenience wrapper around :class:`Interpreter`."""
     interp = Interpreter(program, cost_model=cost_model, listener=listener,

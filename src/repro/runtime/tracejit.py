@@ -49,9 +49,16 @@ threads, applied here to the interpreter itself:
    executes entirely at superblock speed: the loop trace covers the
    recorded arm and a tail trace covers the other arm's path back to
    the loop header.  Tail hotness state lives in a separate per-pc
-   array (`mode + ":tail"`), so it never collides with backedge
+   array (``mode + TAIL``), so it never collides with backedge
    anchors, and tail traces use the same guard, payoff-probe, and
    invalidation machinery as loop traces.
+
+Both interpreter loops enter this module through one trace point
+(:func:`repro.runtime.interpreter._trace_point`), parameterized by the
+mode: fast-mode superblocks publish nothing, traced-mode ones publish
+the event stream.  The JIT is on unless a caller passes
+``trace_jit=False`` (``--no-trace-jit`` on the CLI); the environment
+does not steer it.
 
 Exactness contract
 ------------------
@@ -85,13 +92,13 @@ whose captured instruction tuples alias the patched decoded cache.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode.opcodes import BinOp, Op
 from repro.errors import ExecutionError, ReproError
 
-#: plain-int opcodes (enum compares are slow; mirrors the interpreter)
+#: plain-int opcodes for the interpreter's dispatch loops, the
+#: recorder and the emitter (enum compares are slow)
 _CONST = int(Op.CONST)
 _MOV = int(Op.MOV)
 _BIN = int(Op.BIN)
@@ -144,39 +151,15 @@ MAX_RECORD_ATTEMPTS = 4
 MODE_FAST = "fast"
 MODE_TRACED = "traced"
 
-#: state-array keys for tail-trace hotness: side-exit pcs are armed in
-#: their own per-pc array so they never collide with backedge anchors
-#: (a pc can be a blacklisted loop anchor and a profitable tail anchor
-#: at the same time)
-MODE_FAST_TAIL = MODE_FAST + ":tail"
-MODE_TRACED_TAIL = MODE_TRACED + ":tail"
+#: state-array key suffix for tail-trace hotness: side-exit pcs are
+#: armed in their own per-pc array (``mode + TAIL``) so they never
+#: collide with backedge anchors (a pc can be a blacklisted loop anchor
+#: and a profitable tail anchor at the same time)
+TAIL = ":tail"
 
 
 class TraceJITError(ReproError):
     """A recorded trace failed verification at link time."""
-
-
-def resolve_trace_jit(flag: Optional[bool]) -> bool:
-    """Resolve the effective trace-JIT switch.
-
-    Explicit ``True``/``False`` wins; ``None`` consults the
-    ``JRPM_TRACE_JIT`` environment variable (default: enabled).
-    """
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get("JRPM_TRACE_JIT")
-    if env is None:
-        return True
-    return env.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-def resolve_threshold(threshold: Optional[int]) -> int:
-    """Effective hotness threshold: explicit value, else
-    ``JRPM_TRACE_JIT_THRESHOLD``, else :data:`DEFAULT_HOT_THRESHOLD`."""
-    if threshold is None:
-        env = os.environ.get("JRPM_TRACE_JIT_THRESHOLD")
-        threshold = int(env) if env else DEFAULT_HOT_THRESHOLD
-    return max(1, int(threshold))
 
 
 class LinkedTrace:
@@ -228,7 +211,8 @@ class TraceJIT:
 
     def __init__(self, threshold: Optional[int] = None,
                  max_ops: int = MAX_TRACE_OPS):
-        self.threshold = resolve_threshold(threshold)
+        self.threshold = max(1, DEFAULT_HOT_THRESHOLD if threshold is None
+                             else int(threshold))
         self.max_ops = max_ops
         #: bumped on every live-code patch; traced superblocks compare
         #: against their link-time value after each listener call
@@ -669,16 +653,16 @@ class _Emitter:
         lines = self.lines
         lines.append("def _factory(K, java_div, java_mod, apply_binop, "
                      "apply_unop, apply_intrinsic):")
+        # both modes share one signature; fast superblocks ignore
+        # frame_id (only annotated-local events carry it)
+        lines.append("    def _superblock(slots, cycles, executed, "
+                     "frame_id, env):")
         if self.mode == MODE_TRACED:
-            lines.append("    def _superblock(slots, cycles, executed, "
-                         "frame_id, env):")
             lines.append("        (limit, heap_load_addr, "
                          "heap_store_addr, heap_allocate, heap_length,")
             lines.append("         printed, buf, buf_append, "
                          "on_mem_batch, on_eloop) = env")
         else:
-            lines.append("    def _superblock(slots, cycles, executed, "
-                         "env):")
             lines.append("        (limit, heap_load, heap_store, "
                          "heap_allocate, heap_length, printed) = env")
         lines.append("        while True:")
@@ -757,8 +741,7 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
                     code: List[tuple], costs: List[int], n_slots: int,
                     slots: List, heap, printed: List,
                     cycles: int, executed: int, limit: int,
-                    listener=None, buf: Optional[List] = None,
-                    frame_id: int = -1,
+                    listener, buf: Optional[List], frame_id: int,
                     tail: bool = False) -> Tuple[int, int, int]:
     """Execute from ``anchor`` with full interpreter semantics while
     recording the path taken; link a superblock if the trace closes.
@@ -766,7 +749,8 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
     A loop trace (``tail=False``) closes when control returns to the
     anchor; a tail trace (``tail=True``) closes at the *first* taken
     backedge, wherever it leads — the straightline from a hot side
-    exit back to some loop header.
+    exit back to some loop header.  In fast mode ``listener`` and
+    ``buf`` are None and ``frame_id`` is -1: nothing is published.
 
     Returns ``(pc, cycles, executed)`` for the interpreter to resume
     from — the recorder *is* execution, so all side effects (heap,
@@ -783,7 +767,7 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
     from repro.errors import HeapError
 
     jit.recordings += 1
-    state = jit.state_for(fn_name, mode + ":tail" if tail else mode,
+    state = jit.state_for(fn_name, mode + TAIL if tail else mode,
                           len(code))
     epoch0 = jit.epoch[0]
     traced = mode == MODE_TRACED
@@ -795,7 +779,12 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
     heap_address = heap.address
     if traced:
         on_mem_batch = listener.on_mem_batch
-        buf_append = buf.append
+
+        def publish(entry):
+            buf.append(entry)
+            if len(buf) >= FLUSH_AT:
+                on_mem_batch(buf)
+                buf.clear()
 
     pc = anchor
     while True:
@@ -835,24 +824,16 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
             except HeapError as exc:
                 raise ExecutionError(str(exc), pc, fn_name) from None
             if traced:
-                buf_append(("ld",
-                            heap_address(slots[ins[2]], slots[ins[3]]),
-                            cycles, fn_name, pc))
-                if len(buf) >= FLUSH_AT:
-                    on_mem_batch(buf)
-                    buf.clear()
+                publish(("ld", heap_address(slots[ins[2]], slots[ins[3]]),
+                         cycles, fn_name, pc))
         elif op == _ASTORE:
             try:
                 heap_store(slots[ins[1]], slots[ins[2]], slots[ins[3]])
             except HeapError as exc:
                 raise ExecutionError(str(exc), pc, fn_name) from None
             if traced:
-                buf_append(("st",
-                            heap_address(slots[ins[1]], slots[ins[2]]),
-                            cycles, fn_name, pc))
-                if len(buf) >= FLUSH_AT:
-                    on_mem_batch(buf)
-                    buf.clear()
+                publish(("st", heap_address(slots[ins[1]], slots[ins[2]]),
+                         cycles, fn_name, pc))
         elif op == _UN:
             try:
                 slots[ins[1]] = apply_unop(ins[4], slots[ins[2]])
@@ -877,35 +858,20 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
         elif op == _PRINT:
             printed.append(slots[ins[1]])
         elif traced and op == _LWL:
-            buf_append(("lld", frame_id, ins[1], cycles, fn_name, pc))
-            if len(buf) >= FLUSH_AT:
-                on_mem_batch(buf)
-                buf.clear()
+            publish(("lld", frame_id, ins[1], cycles, fn_name, pc))
         elif traced and op == _SWL:
-            buf_append(("lst", frame_id, ins[1], cycles, fn_name, pc))
-            if len(buf) >= FLUSH_AT:
-                on_mem_batch(buf)
-                buf.clear()
+            publish(("lst", frame_id, ins[1], cycles, fn_name, pc))
         elif traced and op == _SLOOP:
-            buf_append(("sloop", ins[1], ins[2], cycles, frame_id))
-            if len(buf) >= FLUSH_AT:
-                on_mem_batch(buf)
-                buf.clear()
+            publish(("sloop", ins[1], ins[2], cycles, frame_id))
         elif traced and op == _EOI:
-            buf_append(("eoi", ins[1], cycles))
-            if len(buf) >= FLUSH_AT:
-                on_mem_batch(buf)
-                buf.clear()
+            publish(("eoi", ins[1], cycles))
         elif traced and op == _ELOOP:
             if buf:
                 on_mem_batch(buf)
                 buf.clear()
             listener.on_eloop(ins[1], cycles)
         elif traced and op == _READSTATS:
-            buf_append(("readstats", ins[1], cycles))
-            if len(buf) >= FLUSH_AT:
-                on_mem_batch(buf)
-                buf.clear()
+            publish(("readstats", ins[1], cycles))
         elif op == _NOP or op >= _SLOOP:
             pass  # fast mode: annotations are pure cost
         else:  # pragma: no cover - exhaustive

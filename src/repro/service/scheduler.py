@@ -154,7 +154,7 @@ class RequestScheduler:
                  rng=None,
                  runner: Optional[Callable[[List[AnalyzeRequest]],
                                            List[Dict[str, Any]]]] = None,
-                 trace_jit: Optional[bool] = None):
+                 trace_jit: bool = True):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1, got %d"
                              % queue_depth)
@@ -170,7 +170,6 @@ class RequestScheduler:
         #: requests; on_error="row" so one bad workload in a batch
         #: fails only its own requests
         #: interpreter trace JIT for every analysis this service runs
-        #: (None consults JRPM_TRACE_JIT, default on)
         self.trace_jit = trace_jit
         self.executor = FleetExecutor(
             jobs=jobs, cache=self.cache, on_error="row",

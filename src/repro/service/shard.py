@@ -37,7 +37,9 @@ class ShardProcess:
     ``options`` maps serve-option names (``jobs``, ``queue_depth``,
     ``max_batch``, ``result_cache``, ``cache_dir``, ``timeout``,
     ``retries``, ``max_body_bytes``, ``trace_jit``, ``verbose``) to
-    values; None values are omitted (shard defaults apply).
+    values; None values are omitted (shard defaults apply), and
+    ``trace_jit`` (default True) is always passed as ``--trace-jit``
+    or ``--no-trace-jit``.
     """
 
     def __init__(self, index: int,
@@ -65,10 +67,8 @@ class ShardProcess:
         if cache_dir:
             argv += ["--cache-dir",
                      os.path.join(cache_dir, "shard-%d" % self.index)]
-        trace_jit = options.pop("trace_jit", None)
-        if trace_jit is not None:
-            argv.append("--trace-jit" if trace_jit
-                        else "--no-trace-jit")
+        argv.append("--trace-jit" if options.pop("trace_jit", True)
+                    else "--no-trace-jit")
         if options.pop("verbose", False):
             argv.append("--verbose")
         for name, value in sorted(options.items()):
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
                         default=DEFAULT_MAX_BODY_BYTES)
     parser.add_argument("--trace-jit",
                         action=argparse.BooleanOptionalAction,
-                        default=None)
+                        default=True)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
