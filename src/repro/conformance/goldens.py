@@ -88,7 +88,9 @@ def goldens_drift(path: str,
     problems: List[str] = []
     if not os.path.exists(path):
         return ["golden corpus missing at %s" % path]
-    stored = load_goldens(path)
+    with open(path) as handle:
+        text = handle.read()
+    stored = json.loads(text)
     fresh = goldens_payload(compute_goldens(workloads))
     meta = stored.get(META_KEY)
     if not isinstance(meta, dict):
@@ -113,8 +115,7 @@ def goldens_drift(path: str,
                         "%s.%s: stored %r, measured %r"
                         % (name, field, stored[name].get(field),
                            fresh[name].get(field)))
-    if not problems and render_goldens(fresh) != \
-            open(path).read():
+    if not problems and render_goldens(fresh) != text:
         problems.append("corpus bytes differ from canonical "
                         "serialization; regenerate with "
                         "--update-goldens")

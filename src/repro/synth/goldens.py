@@ -20,7 +20,7 @@ import json
 import os
 from typing import Dict, List
 
-from repro.conformance.goldens import META_KEY, load_goldens
+from repro.conformance.goldens import META_KEY, render_goldens
 from repro.runtime.interpreter import run_program
 from repro.synth.families import (
     DEFAULT_SYNTH_SEED,
@@ -65,17 +65,11 @@ def synth_goldens_payload(goldens: Dict[str, Dict]) -> Dict:
     return payload
 
 
-def render_synth_goldens(payload: Dict) -> str:
-    """Same canonical serialization as the Table 6 corpus, so both
-    drift gates share byte-for-byte regeneration semantics."""
-    return json.dumps(payload, indent=1, sort_keys=True)
-
-
 def update_synth_goldens(path: str) -> Dict:
     """Regenerate the pinned corpus at ``path``; returns the payload."""
     payload = synth_goldens_payload(compute_synth_goldens())
     with open(path, "w") as handle:
-        handle.write(render_synth_goldens(payload))
+        handle.write(render_goldens(payload))
     return payload
 
 
@@ -89,7 +83,9 @@ def synth_goldens_drift(path: str) -> List[str]:
     problems: List[str] = []
     if not os.path.exists(path):
         return ["synthetic golden corpus missing at %s" % path]
-    stored = load_goldens(path)
+    with open(path) as handle:
+        text = handle.read()
+    stored = json.loads(text)
     fresh = synth_goldens_payload(compute_synth_goldens())
     meta = stored.get(META_KEY)
     if not isinstance(meta, dict):
@@ -124,8 +120,7 @@ def synth_goldens_drift(path: str) -> List[str]:
             else:
                 problems.append("%s.%s: stored %r, measured %r"
                                 % (family, field, old, new))
-    if not problems and render_synth_goldens(fresh) != \
-            open(path).read():
+    if not problems and render_goldens(fresh) != text:
         problems.append("corpus bytes differ from canonical "
                         "serialization; regenerate with "
                         "--update-goldens")
