@@ -346,15 +346,14 @@ class ArtifactCache:
 def merge_stats(into: Dict[str, Dict[str, int]],
                 extra: Optional[Dict[str, Dict[str, int]]]
                 ) -> Dict[str, Dict[str, int]]:
-    """Accumulate one counter snapshot into another (in place)."""
+    """Accumulate one ``{stage: {hits, misses, corrupt}}`` counter
+    snapshot into another (in place); the one fold behind the
+    executor's worker merge and the service metrics."""
     if extra:
         for stage, counts in extra.items():
-            slot = into.setdefault(
-                stage, {"hits": 0, "misses": 0, "corrupt": 0})
-            slot["hits"] += counts.get("hits", 0)
-            slot["misses"] += counts.get("misses", 0)
-            slot["corrupt"] = slot.get("corrupt", 0) \
-                + counts.get("corrupt", 0)
+            slot = into.setdefault(stage, {})
+            for field in ("hits", "misses", "corrupt"):
+                slot[field] = slot.get(field, 0) + counts.get(field, 0)
     return into
 
 

@@ -17,6 +17,8 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.jrpm.cache import merge_stats
+
 #: log-spaced latency bucket upper bounds, in seconds (the last,
 #: implicit bucket is +Inf) — spans a cache hit (~1 ms) to a cold
 #: extended profile (tens of seconds)
@@ -119,14 +121,8 @@ class ServiceMetrics:
     def merge_cache(self, delta: Optional[Dict[str, Dict[str, int]]]
                     ) -> None:
         """Fold an artifact-cache counter delta (diff_stats shape) in."""
-        if not delta:
-            return
         with self._lock:
-            for stage, counts in delta.items():
-                slot = self.cache.setdefault(
-                    stage, {"hits": 0, "misses": 0, "corrupt": 0})
-                for field in ("hits", "misses", "corrupt"):
-                    slot[field] += counts.get(field, 0)
+            merge_stats(self.cache, delta)
 
     def merge_faults(self, exec_stats: Optional[Dict[str, int]]) -> None:
         """Fold a FleetResult's executor fault counters in."""
@@ -266,11 +262,7 @@ def aggregate_snapshots(snapshots: Iterable[Dict[str, Any]]
             counters[name] = counters.get(name, 0) + value
         for name, value in snap.get("requests", {}).items():
             requests[name] = requests.get(name, 0) + value
-        for stage, counts in snap.get("cache", {}).items():
-            slot = cache.setdefault(
-                stage, {"hits": 0, "misses": 0, "corrupt": 0})
-            for field in ("hits", "misses", "corrupt"):
-                slot[field] += counts.get(field, 0)
+        merge_stats(cache, snap.get("cache"))
         for field in faults:
             faults[field] += snap.get("faults", {}).get(field, 0)
         for endpoint, hist in snap.get("latency", {}).items():
