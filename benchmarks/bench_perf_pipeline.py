@@ -23,7 +23,8 @@ Three modes are timed and written to ``BENCH_pipeline.json``:
 * ``trace_jit`` — the full Huffman pipeline with the trace JIT on vs.
   off, interleaved best-of-N on the same host, plus the trace-cache
   counters (recordings, aborts, linked/blacklisted traces, invocation
-  and guard-failure totals) of the JIT-on run;
+  and guard-failure totals) of the JIT-on run, with its committed ops
+  split into loop traces and tail traces per mode;
 * ``optimize`` — the full Huffman pipeline with the LVN/LICM/DCE pass
   pipeline on vs. off (trace JIT on for both: the flags compose),
   interleaved best-of-N, plus the Figure 11 recording run where the
@@ -119,8 +120,17 @@ def _time_trace_jit_single(reps: int) -> Dict:
 
     def counters(result):
         # per-trace tables are RunResult-level observability; the
-        # committed benchmark keeps the per-run counters only
-        return {k: v for k, v in result.jit.items() if k != "traces"}
+        # committed benchmark keeps the per-run counters, plus the
+        # committed ops split into loop and tail traces (a tail trace
+        # has an exit_pc) against the run's instruction count
+        out = {k: v for k, v in result.jit.items() if k != "traces"}
+        traces = result.jit["traces"]
+        out["instructions"] = result.instructions
+        out["loop_trace_ops"] = sum(t["ops_committed"] for t in traces
+                                    if t["exit_pc"] is None)
+        out["tail_trace_ops"] = sum(t["ops_committed"] for t in traces
+                                    if t["exit_pc"] is not None)
+        return out
 
     return {
         "reps": reps,
