@@ -30,7 +30,9 @@ Three modes are timed and written to ``BENCH_pipeline.json``:
   interleaved best-of-N, plus the Figure 11 recording run where the
   host-independent win lives: LICM hoists the decode loop's invariant
   bound re-evaluation, so the tracer commits measurably fewer
-  interpreter events for the identical execution.
+  interpreter events for the identical execution.  ``corpus`` sums the
+  per-rewrite counters over the 26 Table 6 programs, showing which
+  rewrites fire on the workloads at all.
 
 Standalone::
 
@@ -222,6 +224,17 @@ def _time_optimize_recording() -> Dict:
     }
 
 
+def _optimize_corpus_stats() -> Dict[str, int]:
+    """``OptimizeStats`` summed over the 26 Table 6 programs."""
+    from repro.jit import optimize_program
+
+    totals: Dict[str, int] = {}
+    for w in all_workloads():
+        for key, value in optimize_program(w.compile()).to_dict().items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
 def _time_sweep(cache) -> float:
     w = get_workload("Huffman")
     start = time.perf_counter()
@@ -324,6 +337,7 @@ def run_benchmark(quick: bool = False) -> Dict:
     trace_jit = _time_trace_jit_single(reps=1 if quick else 5)
     optimize = _time_optimize_single(reps=3 if quick else 7)
     optimize["recording"] = _time_optimize_recording()
+    optimize["corpus"] = _optimize_corpus_stats()
     # cold fills the cache (including the store overhead of pickling
     # every artifact); warm is the same sweep against the filled cache,
     # i.e. what any re-run or downstream-knob sweep pays

@@ -152,8 +152,7 @@ def check_source(source: str, seed: Optional[int] = None,
 
     # Codegen must never emit live unreachable blocks (trailing RET/NOP
     # padding after exhaustive returns is tolerated by the verifier).
-    # Checked on the pristine program only: constant folding in the
-    # optimizer can legitimately strand a branch arm.
+    # Path 4 checks the optimized program the same way.
     try:
         verify_program(program, reject_unreachable=True)
     except ReproError as exc:
@@ -220,6 +219,10 @@ def check_source(source: str, seed: Optional[int] = None,
     # path 4: scalar optimizer on a copy
     clone = program.copy()
     optimize_program(clone)
+    try:
+        verify_program(clone, reject_unreachable=True)
+    except ReproError as exc:
+        _raise(KIND_UNREACHABLE, "optimized: %s" % exc, seed)
     optimized = run_program(clone, max_instructions=max_instructions,
                             trace_jit=False)
     if optimized.return_value != fast.return_value:

@@ -8,7 +8,6 @@ from repro.jit.annotate import (
 )
 from repro.jit.optimize import (
     OptimizeStats,
-    optimize_function,
     optimize_program,
 )
 from repro.jit.speculative import STLCompilation, compile_stl
@@ -20,6 +19,5 @@ __all__ = [
     "STLCompilation",
     "annotate_program",
     "compile_stl",
-    "optimize_function",
     "optimize_program",
 ]

@@ -10,9 +10,8 @@ ids are assigned in pc order by ``build_cfg``) and **elides** any
 terminating ``JMP`` whose target is the next block in layout — the
 interpreter's ``pc + 1`` fallthrough takes over.  Every ``JMP`` that
 ``build_cfg`` synthesized comes right back out, and pre-existing
-jumps-to-next disappear too (including ``BR``s that branch folding
-collapsed), so the flattened code executes at most as many
-instructions as the CFG it came from.  A block reduced to a lone
+jumps-to-next disappear too, so the flattened code executes at most
+as many instructions as the CFG it came from.  A block reduced to a lone
 elided ``JMP`` contributes nothing and its incoming branches thread
 through to its successor.
 """

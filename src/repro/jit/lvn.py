@@ -1,6 +1,5 @@
 """Superlocal value numbering (with constant folding, algebraic
-identities, common-subexpression elimination, branch folding, and
-strength reduction).
+identities and common-subexpression elimination).
 
 The pass assigns a value number to every slot as a block is scanned;
 two slots with the same number provably hold the same value at that
@@ -29,17 +28,10 @@ On top of the numbering we layer:
 * **CSE** — a recomputation of an available expression becomes a
   ``MOV`` from a slot still holding it.  Redundant ``ALOAD``s
   participate through a heap epoch that ``ASTORE``/``CALL`` advance,
-  with store-to-load forwarding for the address just written;
-* **branch folding** — ``BR`` on a known constant becomes ``JMP`` and
-  the stranded arm is dropped at linearization;
-* **strength reduction** — ``MUL``/``DIV``/``MOD`` by a power-of-two
-  constant defined by a single-use in-block ``CONST`` is rewritten to
-  ``SHL``/``SHR``/``AND`` *in place* (the ``CONST``'s immediate is
-  retargeted to the shift count / mask), so the transform never adds
-  an instruction.  Guards: the factor operand must be a provable int
-  (shift semantics differ from float multiply) and, for ``DIV``/
-  ``MOD``, provably non-negative (Java division truncates toward zero
-  while ``>>`` floors; Java ``%`` takes the dividend's sign).
+  with store-to-load forwarding for the address just written.
+
+A ``BR`` on a known constant stays a ``BR``: no registered workload
+branches on one, so folding it would add code that changes nothing.
 
 Every rewrite here is 1:1 or removing, so the dynamic instruction
 count never increases — the conformance suite's strict
@@ -54,9 +46,7 @@ from repro.bytecode.instructions import Instr
 from repro.bytecode.opcodes import BinOp, Op, UnOp
 from repro.bytecode.program import Function
 from repro.errors import ExecutionError
-from repro.jit.dataflow import compute_liveness
-from repro.jit.effects import (COMMUTATIVE_BIN, has_annotations,
-                               instr_reads, instr_writes)
+from repro.jit.effects import COMMUTATIVE_BIN, has_annotations
 from repro.cfg.graph import build_cfg
 from repro.jit.layout import relinearize
 from repro.runtime.values import apply_binop, apply_intrinsic, apply_unop
@@ -66,9 +56,11 @@ from repro.runtime.values import apply_binop, apply_intrinsic, apply_unop
 #: inf/nan raises OverflowError/ValueError, not ExecutionError).
 _FOLD_ERRORS = (ExecutionError, ValueError, OverflowError, ZeroDivisionError)
 
-_COMPARES = frozenset([BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE,
-                       BinOp.EQ, BinOp.NE])
-_BITWISE = frozenset([BinOp.AND, BinOp.OR, BinOp.XOR, BinOp.SHL, BinOp.SHR])
+#: BIN sub-ops whose result is an int whatever the operand types
+#: (comparisons yield 0/1; bitwise ops fault on floats)
+_INT_RESULT = frozenset([BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE,
+                         BinOp.EQ, BinOp.NE, BinOp.AND, BinOp.OR,
+                         BinOp.XOR, BinOp.SHL, BinOp.SHR])
 
 
 class _BlockState:
@@ -81,17 +73,10 @@ class _BlockState:
         self.key_to_vn: Dict[Tuple, int] = {}
         self.const_of: Dict[int, object] = {}
         self.int_vns: Set[int] = set()
-        self.nonneg_vns: Set[int] = set()
         self.heap_epoch = 0
-        # strength-reduction bookkeeping (runtime-accurate, maintained
-        # as rewrites happen — the pre-scan tables alone would go stale)
-        self.reads_since_def: Dict[int, int] = {}
-        self.const_def_at: Dict[int, int] = {}
 
     def clone(self) -> "_BlockState":
-        """Independent copy for a sole successor block.  ``const_def_at``
-        is dropped: strength reduction may never retarget a ``CONST``
-        that lives in an ancestor block (other paths may read it)."""
+        """Independent copy for a sole successor block."""
         st = _BlockState.__new__(_BlockState)
         st.next_vn = self.next_vn
         st.vn_of_slot = dict(self.vn_of_slot)
@@ -100,10 +85,7 @@ class _BlockState:
         st.key_to_vn = dict(self.key_to_vn)
         st.const_of = dict(self.const_of)
         st.int_vns = set(self.int_vns)
-        st.nonneg_vns = set(self.nonneg_vns)
         st.heap_epoch = self.heap_epoch
-        st.reads_since_def = dict(self.reads_since_def)
-        st.const_def_at = {}
         return st
 
     # -- value numbers ---------------------------------------------------
@@ -123,8 +105,6 @@ class _BlockState:
     def bind(self, slot: int, vn: int) -> None:
         self.vn_of_slot[slot] = vn
         self.slots_of_vn.setdefault(vn, []).append(slot)
-        self.reads_since_def[slot] = 0
-        self.const_def_at.pop(slot, None)
 
     def rep(self, vn: int) -> Optional[int]:
         """Earliest slot still holding ``vn``, pruning stale entries."""
@@ -136,10 +116,11 @@ class _BlockState:
         return keep[0] if keep else None
 
     def const_vn(self, value) -> int:
-        # the type tag keeps 0 and 0.0 apart (they are equal dict keys
-        # in Python but not interchangeable values: printing and float
-        # promotion both observe the difference)
-        key = ("const", type(value).__name__, value)
+        # the type tag keeps 0 and 0.0 apart and the repr keeps 0.0
+        # and -0.0 apart (each pair is equal as dict keys in Python but
+        # not interchangeable: printing, float promotion and the sign
+        # of a product all observe the difference)
+        key = ("const", type(value).__name__, repr(value))
         vn = self.key_to_vn.get(key)
         if vn is None:
             vn = self.fresh()
@@ -147,21 +128,14 @@ class _BlockState:
             self.const_of[vn] = value
             if isinstance(value, int):
                 self.int_vns.add(vn)
-                if value >= 0:
-                    self.nonneg_vns.add(vn)
         return vn
 
     def is_int(self, vn: int) -> bool:
         return vn in self.int_vns
 
-    def is_nonneg(self, vn: int) -> bool:
-        return vn in self.nonneg_vns
-
-    def mark(self, vn: int, is_int: bool, nonneg: bool) -> None:
+    def mark(self, vn: int, is_int: bool) -> None:
         if is_int:
             self.int_vns.add(vn)
-            if nonneg:
-                self.nonneg_vns.add(vn)
 
 
 def lvn_function(fn: Function, stats) -> bool:
@@ -169,11 +143,8 @@ def lvn_function(fn: Function, stats) -> bool:
     if has_annotations(fn):
         return False
     cfg = build_cfg(fn)
-    _live_in, live_out = compute_liveness(cfg)
-    reachable = cfg.reachable()
     preds = cfg.predecessors_map()
     changed = False
-    folded_branches = False
     end_states: Dict[int, _BlockState] = {}
     for bid in cfg.reverse_postorder():
         block = cfg.blocks[bid]
@@ -183,18 +154,9 @@ def lvn_function(fn: Function, stats) -> bool:
         state = (end_states[p[0]].clone()
                  if len(p) == 1 and p[0] in end_states and p[0] != bid
                  else None)
-        ch, br, end = _lvn_block(block.instrs, live_out[bid], stats,
-                                 state)
+        ch, end = _lvn_block(block.instrs, stats, state)
         end_states[bid] = end
         changed = changed or ch
-        folded_branches = folded_branches or br
-    if folded_branches:
-        # dropped arms become unreachable; account for them before
-        # linearization discards them
-        still = cfg.reachable()
-        dropped = sum(len(cfg.blocks[b].instrs)
-                      for b in reachable if b not in still)
-        stats.unreachable_removed += dropped
     if changed:
         fn.code = relinearize(cfg)
     return changed
@@ -204,25 +166,12 @@ def lvn_function(fn: Function, stats) -> bool:
 # one block
 # ---------------------------------------------------------------------------
 
-def _lvn_block(instrs: List[Instr], live_out, stats,
+def _lvn_block(instrs: List[Instr], stats,
                state: Optional[_BlockState] = None,
-               ) -> Tuple[bool, bool, _BlockState]:
+               ) -> Tuple[bool, _BlockState]:
     if state is None:
         state = _BlockState()
     changed = False
-    folded_branch = False
-
-    # original read/def pc tables for the strength-reduction "no future
-    # use of the constant's slot" check (defs are never retargeted by
-    # any rewrite below, so def pcs stay valid; reads are conservative)
-    orig_read_pcs: Dict[int, List[int]] = {}
-    orig_def_pcs: Dict[int, List[int]] = {}
-    for pc, ins in enumerate(instrs):
-        for s in instr_reads(ins):
-            orig_read_pcs.setdefault(s, []).append(pc)
-        w = instr_writes(ins)
-        if w is not None:
-            orig_def_pcs.setdefault(w, []).append(pc)
 
     def resolve(slot: int) -> Tuple[int, int, bool]:
         """Return (slot', vn, rewritten) with slot' the canonical holder."""
@@ -232,10 +181,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
             return r, vn, True
         return slot, vn, False
 
-    def note_reads(*slots: int) -> None:
-        for s in slots:
-            state.reads_since_def[s] = state.reads_since_def.get(s, 0) + 1
-
     pc = 0
     while pc < len(instrs):
         ins = instrs[pc]
@@ -243,7 +188,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
 
         if op == Op.CONST:
             state.bind(ins.a, state.const_vn(ins.imm))
-            state.const_def_at[ins.a] = pc
 
         elif op == Op.MOV:
             b, vn, rw = resolve(ins.b)
@@ -251,13 +195,10 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                 ins.b = b
                 stats.copies_propagated += 1
                 changed = True
-            note_reads(ins.b)
             state.bind(ins.a, vn)
 
         elif op == Op.BIN:
-            ch2, again = _lvn_bin(instrs, pc, state, live_out,
-                                  orig_read_pcs, orig_def_pcs,
-                                  resolve, note_reads, stats)
+            ch2, again = _lvn_bin(instrs, pc, state, resolve, stats)
             changed = changed or ch2
             if again:
                 continue  # instruction was replaced; reprocess it
@@ -268,7 +209,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                 ins.b = b
                 stats.copies_propagated += 1
                 changed = True
-            note_reads(ins.b)
             if vb in state.const_of:
                 try:
                     value = apply_unop(ins.sub, state.const_of[vb])
@@ -286,12 +226,8 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
             vn = state.fresh()
             state.key_to_vn[key] = vn
             sub = UnOp(ins.sub)
-            if sub in (UnOp.NOT,):
-                state.mark(vn, True, True)
-            elif sub in (UnOp.INV, UnOp.F2I):
-                state.mark(vn, True, False)
-            elif sub == UnOp.NEG and state.is_int(vb):
-                state.mark(vn, True, False)
+            state.mark(vn, sub in (UnOp.NOT, UnOp.INV, UnOp.F2I)
+                       or (sub == UnOp.NEG and state.is_int(vb)))
             state.bind(ins.a, vn)
 
         elif op == Op.LEN:
@@ -300,14 +236,13 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                 ins.b = b
                 stats.copies_propagated += 1
                 changed = True
-            note_reads(ins.b)
             key = ("len", vb)  # array lengths are immutable: no epoch
             if _try_cse(instrs, pc, key, state, stats):
                 changed = True
                 continue
             vn = state.fresh()
             state.key_to_vn[key] = vn
-            state.mark(vn, True, True)
+            state.mark(vn, True)
             state.bind(ins.a, vn)
 
         elif op == Op.ALOAD:
@@ -320,7 +255,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
             if rw1 or rw2:
                 stats.copies_propagated += rw1 + rw2
                 changed = True
-            note_reads(ins.b, ins.c)
             key = ("aload", vb, vc, state.heap_epoch)
             if _try_cse(instrs, pc, key, state, stats):
                 changed = True
@@ -336,7 +270,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                     setattr(ins, field, s)
                     stats.copies_propagated += 1
                     changed = True
-            note_reads(ins.a, ins.b, ins.c)
             va = state.vn_of(ins.a)
             vb = state.vn_of(ins.b)
             vc = state.vn_of(ins.c)
@@ -352,7 +285,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                 ins.b = b
                 stats.copies_propagated += 1
                 changed = True
-            note_reads(ins.b)
             state.bind(ins.a, state.fresh())
 
         elif op == Op.CALL:
@@ -364,7 +296,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                     changed = True
                 new_args.append(s2)
             ins.args = tuple(new_args)
-            note_reads(*ins.args)
             state.heap_epoch += 1  # the callee may mutate any array
             if ins.a >= 0:
                 state.bind(ins.a, state.fresh())
@@ -380,7 +311,6 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                 new_args.append(s2)
                 arg_vns.append(vn)
             ins.args = tuple(new_args)
-            note_reads(*ins.args)
             if all(v in state.const_of for v in arg_vns):
                 try:
                     value = apply_intrinsic(
@@ -406,22 +336,13 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                 ins.a = a
                 stats.copies_propagated += 1
                 changed = True
-            note_reads(ins.a)
 
         elif op == Op.BR:
-            a, va, rw = resolve(ins.a)
+            a, _vn, rw = resolve(ins.a)
             if rw:
                 ins.a = a
                 stats.copies_propagated += 1
                 changed = True
-            note_reads(ins.a)
-            if va in state.const_of:
-                taken = state.const_of[va] != 0
-                target = ins.b if taken else ins.c
-                instrs[pc] = Instr(Op.JMP, a=target)
-                stats.branches_folded += 1
-                changed = True
-                folded_branch = True
 
         elif op == Op.RET:
             if ins.a >= 0:
@@ -430,13 +351,12 @@ def _lvn_block(instrs: List[Instr], live_out, stats,
                     ins.a = a
                     stats.copies_propagated += 1
                     changed = True
-                note_reads(ins.a)
 
         # JMP / NOP / annotations: nothing to do (annotated functions
         # never reach here — lvn_function bails out up front)
         pc += 1
 
-    return changed, folded_branch, state
+    return changed, state
 
 
 _NOFOLD = object()
@@ -455,18 +375,16 @@ def _try_cse(instrs: List[Instr], pc: int, key: Tuple,
         return False
     ins = instrs[pc]
     instrs[pc] = Instr(Op.MOV, a=ins.a, b=r)
-    state.reads_since_def[r] = state.reads_since_def.get(r, 0) + 1
     state.bind(ins.a, vn)
     stats.cse_replaced += 1
     return True
 
 
 # ---------------------------------------------------------------------------
-# BIN: fold / identities / strength reduction / CSE
+# BIN: fold / identities / CSE
 # ---------------------------------------------------------------------------
 
-def _lvn_bin(instrs, pc, state, live_out, orig_read_pcs, orig_def_pcs,
-             resolve, note_reads, stats) -> Tuple[bool, bool]:
+def _lvn_bin(instrs, pc, state, resolve, stats) -> Tuple[bool, bool]:
     """Process a BIN.  Returns (changed, reprocess_same_pc)."""
     ins = instrs[pc]
     changed = False
@@ -501,18 +419,6 @@ def _lvn_bin(instrs, pc, state, live_out, orig_read_pcs, orig_def_pcs,
         stats.algebraic += 1
         return True, True
 
-    # ---- strength reduction --------------------------------------------
-    if _strength_reduce(instrs, pc, state, live_out,
-                        orig_read_pcs, orig_def_pcs, vb, vc, cb, cc):
-        stats.strength_reduced += 1
-        ins = instrs[pc]
-        sub = BinOp(ins.sub)
-        vb = state.vn_of(ins.b)
-        vc = state.vn_of(ins.c)
-        changed = True
-
-    note_reads(ins.b, ins.c)
-
     # ---- CSE ------------------------------------------------------------
     if sub in COMMUTATIVE_BIN:
         lo, hi = (vb, vc) if vb <= vc else (vc, vb)
@@ -525,21 +431,9 @@ def _lvn_bin(instrs, pc, state, live_out, orig_read_pcs, orig_def_pcs,
     # ---- define ----------------------------------------------------------
     vn = state.fresh()
     state.key_to_vn[key] = vn
-    both_int = state.is_int(vb) and state.is_int(vc)
-    both_nn = state.is_nonneg(vb) and state.is_nonneg(vc)
-    if sub in _COMPARES:
-        state.mark(vn, True, True)
-    elif sub in _BITWISE:
-        state.mark(vn, True, both_nn)
-    elif sub in (BinOp.ADD, BinOp.MUL):
-        state.mark(vn, both_int, both_int and both_nn)
-    elif sub == BinOp.SUB:
-        state.mark(vn, both_int, False)
-    elif sub == BinOp.DIV:
-        state.mark(vn, both_int, both_int and both_nn)
-    elif sub == BinOp.MOD:
-        # Java % takes the dividend's sign
-        state.mark(vn, both_int, both_int and state.is_nonneg(vb))
+    # arithmetic (ADD/SUB/MUL/DIV/MOD) is int exactly when both operands are
+    state.mark(vn, sub in _INT_RESULT
+               or (state.is_int(vb) and state.is_int(vc)))
     state.bind(ins.a, vn)
     return changed, False
 
@@ -598,65 +492,3 @@ def _identity(sub, ins, state, vb, vc, cb, cc) -> Optional[Instr]:
             return Instr(Op.CONST, a=a, imm=0)
     return None
 
-
-_SR_SUBS = {BinOp.MUL: BinOp.SHL, BinOp.DIV: BinOp.SHR, BinOp.MOD: BinOp.AND}
-
-
-def _strength_reduce(instrs, pc, state, live_out,
-                     orig_read_pcs, orig_def_pcs, vb, vc, cb, cc) -> bool:
-    """Rewrite MUL/DIV/MOD by 2**k into SHL/SHR/AND, in place.
-
-    The power-of-two constant's defining ``CONST`` (same block, sole
-    consumer) has its immediate retargeted to the shift count / mask,
-    so the transform adds no instruction.  See the module docstring
-    for the int / non-negative guards.
-    """
-    ins = instrs[pc]
-    sub = BinOp(ins.sub)
-    new_sub = _SR_SUBS.get(sub)
-    if new_sub is None:
-        return False
-
-    if sub == BinOp.MUL and type(cb) is int and cb >= 2 \
-            and cb & (cb - 1) == 0 and state.is_int(vc):
-        # put the variable operand on b, the constant on c
-        ins.b, ins.c = ins.c, ins.b
-        const_slot, factor = ins.c, cb
-    elif type(cc) is int and cc >= 2 and cc & (cc - 1) == 0:
-        if sub == BinOp.MUL:
-            if not state.is_int(vb):
-                return False
-        elif not (state.is_int(vb) and state.is_nonneg(vb)):
-            return False
-        const_slot, factor = ins.c, cc
-    else:
-        return False
-    if ins.b == ins.c:
-        return False
-
-    # the constant's slot must be single-purpose: defined by a CONST in
-    # this block, never read since (tracked through rewrites), with no
-    # original read later in the block and dead across the block edge —
-    # only then can its immediate be retargeted without other readers
-    # observing the new value
-    j = state.const_def_at.get(const_slot)
-    if j is None or instrs[j].op != Op.CONST:
-        return False
-    if state.reads_since_def.get(const_slot, 0) != 0:
-        return False
-    future_defs = [d for d in orig_def_pcs.get(const_slot, ()) if d > pc]
-    horizon = min(future_defs) if future_defs else len(instrs)
-    for r in orig_read_pcs.get(const_slot, ()):
-        if pc < r < horizon:
-            return False
-    if not future_defs and const_slot in live_out:
-        return False
-
-    k = factor.bit_length() - 1
-    instrs[j].imm = (factor - 1) if sub == BinOp.MOD else k
-    ins.sub = int(new_sub)
-    # rebind the constant slot to its new value so later lookups of the
-    # old power-of-two never pick this slot as a representative
-    state.bind(const_slot, state.const_vn(instrs[j].imm))
-    state.const_def_at[const_slot] = j
-    return True

@@ -5,8 +5,8 @@ This module is the pass manager; the passes themselves live in
 sibling modules:
 
 * :mod:`repro.jit.lvn` — local value numbering: constant folding,
-  algebraic identities, CSE (including redundant ``ALOAD``s via a heap
-  epoch), branch folding, and power-of-two strength reduction;
+  algebraic identities, and CSE (including redundant ``ALOAD``s via a
+  heap epoch);
 * :mod:`repro.jit.licm` — loop-invariant code motion into preheaders;
 * :mod:`repro.jit.dce` — liveness-driven global dead-code elimination
   (safe for named locals, not just temps);
@@ -38,9 +38,9 @@ The trio repeats until a fixed point, bounded by a small round cap.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.bytecode.program import Function, Program
+from repro.bytecode.program import Program
 from repro.bytecode.verifier import verify_program
 from repro.jit.dce import dce_function
 from repro.jit.licm import licm_function
@@ -54,9 +54,6 @@ STAT_FIELDS = (
     "algebraic",          # x+0, x*1, x/1 ... -> MOV / CONST
     "cse_replaced",       # recomputed available expression -> MOV
     "copies_propagated",  # operand rewritten to an equal-valued slot
-    "strength_reduced",   # MUL/DIV/MOD by 2**k -> SHL/SHR/AND
-    "branches_folded",    # BR on a known constant -> JMP
-    "unreachable_removed",  # instructions stranded by branch folding
     "licm_hoisted",       # loop-invariant instruction moved to preheader
     "dead_removed",       # dead definition eliminated
 )
@@ -91,22 +88,6 @@ class OptimizeStats:
 
 
 _PASSES = (lvn_function, licm_function, dce_function)
-
-
-def optimize_function(fn: Function,
-                      stats: Optional[OptimizeStats] = None) -> OptimizeStats:
-    """Optimize a single function in place (no program-level verify —
-    use :func:`optimize_program` for whole programs)."""
-    if stats is None:
-        stats = OptimizeStats()
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for pass_fn in _PASSES:
-            changed = pass_fn(fn, stats) or changed
-        stats.rounds += 1
-        if not changed:
-            break
-    return stats
 
 
 def optimize_program(program: Program) -> OptimizeStats:

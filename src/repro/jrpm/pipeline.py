@@ -208,9 +208,12 @@ class Jrpm:
         ckey = hit = art = None
         if cache is not None:
             # "c2": the artifact grew an optimize_stats member when the
-            # pass pipeline landed — older 2-tuple blobs must not alias
+            # pass pipeline landed — older 2-tuple blobs must not alias.
+            # "c3": optimize_stats went from nine counters to six; a
+            # stored nine-field block would put the dropped three back
+            # on /metrics
             ckey = cache_key(STAGE_COMPILE, self._source, self.optimize,
-                             "c2")
+                             "c3")
             hit, art = cache.fetch(STAGE_COMPILE, ckey)
         if hit:
             program, candidates, opt_stats = art

@@ -1,5 +1,5 @@
-"""Pass-pipeline tests: effects tables, differential equivalence,
-LICM hoist-safety barriers, and strength reduction.
+"""Pass-pipeline tests: effects tables, differential equivalence and
+LICM hoist-safety barriers.
 
 The differential class is the optimizer's ground truth: every bundled
 workload must produce the exact same observable behaviour (return
@@ -279,98 +279,3 @@ class TestLicmBarriers:
             stats = OptimizeStats()
             assert pass_fn(fn, stats) is False
             assert stats.total == 0
-
-
-# ---------------------------------------------------------------------------
-# strength reduction: MUL/DIV/MOD by powers of two
-# ---------------------------------------------------------------------------
-
-def _sr_program(sub, factor, via_len=True):
-    """``return len(arr) <sub> factor`` — LEN proves int and non-negative
-    without being a foldable constant."""
-    b = FunctionBuilder("main")
-    arr, x, k, d, ln = (b.temp() for _ in range(5))
-    b.const(ln, 12)
-    b.newarr(arr, ln)
-    if via_len:
-        b.length(x, arr)
-    else:
-        b.const(x, 12)
-        b.unop(UnOp.I2F, x, x)  # float: no int proof
-    b.const(k, factor)
-    b.binop(sub, d, x, k)
-    b.ret(d)
-    fn = b.build()
-    program = Program()
-    program.add(fn)
-    return program, fn
-
-
-def _lvn(fn):
-    stats = OptimizeStats()
-    lvn_function(fn, stats)
-    return stats
-
-
-class TestStrengthReduction:
-    @pytest.mark.parametrize("sub,factor,new_sub,expect", [
-        (BinOp.MUL, 8, BinOp.SHL, 96),
-        (BinOp.DIV, 4, BinOp.SHR, 3),
-        (BinOp.MOD, 8, BinOp.AND, 4),
-    ])
-    def test_power_of_two_reduces(self, sub, factor, new_sub, expect):
-        program, fn = _sr_program(sub, factor)
-        stats = _lvn(fn)
-        assert stats.strength_reduced == 1
-        verify_program(program)
-        bins = [i for i in fn.code if i.op == Op.BIN]
-        assert [BinOp(i.sub) for i in bins] == [new_sub]
-        assert run_program(program).return_value == expect
-
-    def test_non_power_of_two_stays(self):
-        program, fn = _sr_program(BinOp.MUL, 6)
-        assert _lvn(fn).strength_reduced == 0
-        assert run_program(program).return_value == 72
-
-    def test_float_operand_never_reduces(self):
-        # 12.0 * 8 is a float multiply; x << 3 would fault on it
-        program, fn = _sr_program(BinOp.MUL, 8, via_len=False)
-        assert _lvn(fn).strength_reduced == 0
-        assert run_program(program).return_value == 96.0
-
-    def test_possibly_negative_dividend_never_reduces(self):
-        # y = len - 20 is int but possibly negative: Java / truncates
-        # toward zero while >> floors, so DIV must stay DIV
-        b = FunctionBuilder("main")
-        arr, x, c, y, k, d, ln = (b.temp() for _ in range(7))
-        b.const(ln, 12)
-        b.newarr(arr, ln)
-        b.length(x, arr)
-        b.const(c, 20)
-        b.binop(BinOp.SUB, y, x, c)
-        b.const(k, 4)
-        b.binop(BinOp.DIV, d, y, k)
-        b.ret(d)
-        fn = b.build()
-        program = Program()
-        program.add(fn)
-        assert _lvn(fn).strength_reduced == 0
-        assert run_program(program).return_value == -2  # -8/4, not -8>>2
-
-    def test_shared_constant_never_retargeted(self):
-        # the 8 is read again after the MUL: retargeting its CONST to
-        # the shift count would corrupt the second reader
-        b = FunctionBuilder("main")
-        arr, x, k, d, e, ln = (b.temp() for _ in range(6))
-        b.const(ln, 12)
-        b.newarr(arr, ln)
-        b.length(x, arr)
-        b.const(k, 8)
-        b.binop(BinOp.MUL, d, x, k)
-        b.binop(BinOp.ADD, e, d, k)
-        b.ret(e)
-        fn = b.build()
-        program = Program()
-        program.add(fn)
-        assert _lvn(fn).strength_reduced == 0
-        assert run_program(program).return_value == 104
