@@ -4,8 +4,11 @@ dynamic nesting, convergence)."""
 import pytest
 
 from repro.errors import TracerError
-from repro.hydra import HydraConfig
+from repro.hydra import DEFAULT_HYDRA, HydraConfig
+from repro.runtime.heap import LINE_SIZE
 from repro.tracer import TestDevice
+from repro.tracer.bank import ComparatorBank
+from repro.tracer.stats import STLStats
 
 
 class TestEventRouting:
@@ -234,3 +237,139 @@ class TestConvergence:
         dev.disable_loop(0)
         self._run_entries(dev, 0, 3)
         assert dev.stats[0].profiled_threads == 0
+
+
+class TestComparisonBoundaries:
+    """The device against a :class:`ComparatorBank` fed every event
+    directly, with producer and line timestamps on each side of the
+    entry, previous-thread and thread-start boundaries.
+
+    The loop is entered at 100 and its threads start at 200 and 300,
+    so at the load (cycle 350) ``entry_time`` = 100, ``prev_start`` =
+    200 and ``thread_start`` = 300.
+    """
+
+    ENTRY, PREV, START, LOAD = 100, 200, 300, 350
+    ADDRESS = 0x1000
+    FRAME, SLOT = 7, 2
+
+    def _events(self, producer, local, line_ld, line_st):
+        """``[(cycle, order, kind, address)]`` of one scenario; markers
+        sort before memory events of the same cycle."""
+        events = [(self.ENTRY, 0, "sloop", None),
+                  (self.PREV, 0, "eoi", None),
+                  (self.START, 0, "eoi", None),
+                  (self.LOAD, 1, "lld" if local else "ld", self.ADDRESS),
+                  (400, 0, "eoi", None),
+                  (410, 0, "eloop", None)]
+        if producer is not None:
+            events.append((producer, 1, "lst" if local else "st",
+                           self.ADDRESS))
+        if line_ld is not None:
+            # an earlier load of the same line, another word
+            events.append((line_ld, 1, "ld", self.ADDRESS + 4))
+        if line_st is not None:
+            # an earlier store to a line that a store at LOAD rewrites
+            events.append((line_st, 1, "st", 0x2004))
+            events.append((self.LOAD, 2, "st", 0x2000))
+        return sorted(events)
+
+    def _device_stats(self, events):
+        dev = TestDevice()
+        dev.register_loop_locals(0, [self.SLOT])
+        for cycle, _order, kind, address in events:
+            if kind == "sloop":
+                dev.on_sloop(0, 1, cycle, frame_id=self.FRAME)
+            elif kind == "eoi":
+                dev.on_eoi(0, cycle)
+            elif kind == "eloop":
+                dev.on_eloop(0, cycle)
+            elif kind == "ld":
+                dev.on_load(address, cycle)
+            elif kind == "st":
+                dev.on_store(address, cycle)
+            elif kind == "lld":
+                dev.on_local_load(self.FRAME, self.SLOT, cycle)
+            else:
+                dev.on_local_store(self.FRAME, self.SLOT, cycle)
+        dev.finish()
+        return dev.stats[0]
+
+    def _bank_stats(self, events):
+        """The bank sees every access while armed, with unbounded
+        timestamp tables."""
+        stats = STLStats(0)
+        stats.dynamic_depth = 1  # the device's nesting bookkeeping
+        bank = ComparatorBank(DEFAULT_HYDRA, stats)
+        heap, local, ld_lines, st_lines = {}, {}, {}, {}
+        for cycle, _order, kind, address in events:
+            if kind == "sloop":
+                bank.start_entry(cycle)
+            elif kind == "eoi":
+                bank.end_iteration(cycle)
+            elif kind == "eloop":
+                bank.end_entry(cycle)
+            elif kind == "ld":
+                line = address // LINE_SIZE
+                bank.observe_load(heap.get(address), cycle, False)
+                bank.observe_line_load(ld_lines.get(line))
+                ld_lines[line] = cycle
+            elif kind == "st":
+                line = address // LINE_SIZE
+                bank.observe_line_store(st_lines.get(line))
+                st_lines[line] = cycle
+                heap[address] = cycle
+            elif kind == "lld":
+                bank.observe_load(local.get(address), cycle, True)
+            else:
+                local[address] = cycle
+        return stats
+
+    def _assert_same(self, events):
+        dev = self._device_stats(events)
+        ref = self._bank_stats(events)
+        assert [getattr(dev, f) for f in STLStats.__slots__] == \
+            [getattr(ref, f) for f in STLStats.__slots__]
+
+    @pytest.mark.parametrize("local", [False, True], ids=["heap", "local"])
+    @pytest.mark.parametrize("offset", [
+        ("entry", -1), ("entry", 0), ("prev", -1), ("prev", 0),
+        ("start", -1), ("start", 0), None],
+        ids=lambda o: "none" if o is None else "%s%+d" % o)
+    def test_producer_timestamp(self, offset, local):
+        producer = None
+        if offset is not None:
+            base = {"entry": self.ENTRY, "prev": self.PREV,
+                    "start": self.START}[offset[0]]
+            producer = base + offset[1]
+        events = self._events(producer, local, None, None)
+        self._assert_same(events)
+
+    @pytest.mark.parametrize("line_ts", [START - 1, START, None],
+                             ids=["start-1", "start", "none"])
+    def test_load_line_timestamp(self, line_ts):
+        self._assert_same(self._events(None, False, line_ts, None))
+
+    @pytest.mark.parametrize("line_ts", [START - 1, START, None],
+                             ids=["start-1", "start", "none"])
+    def test_store_line_timestamp(self, line_ts):
+        self._assert_same(self._events(None, False, None, line_ts))
+
+    def test_boundaries_reach_every_outcome(self):
+        """The scenarios cover a t-1 arc, an earlier arc, no arc, and
+        both sides of the new-line test."""
+        def stats(producer, local=False, line_ld=None, line_st=None):
+            return self._device_stats(
+                self._events(producer, local, line_ld, line_st))
+
+        assert stats(self.PREV).arcs_prev == 1
+        assert stats(self.PREV - 1).arcs_earlier == 1
+        assert stats(self.ENTRY).arcs_earlier == 1
+        for producer in (self.ENTRY - 1, self.START, None):
+            st = stats(producer)
+            assert st.arcs_prev == st.arcs_earlier == 0
+        assert stats(self.PREV, local=True).local_arcs == 1
+        assert stats(None, line_ld=self.START - 1).load_lines_total == 2
+        assert stats(None, line_ld=self.START).load_lines_total == 1
+        assert stats(None, line_st=self.START - 1).store_lines_total == 2
+        assert stats(None, line_st=self.START).store_lines_total == 1
