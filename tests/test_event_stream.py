@@ -184,6 +184,14 @@ def test_stream_matches_pin(pinned, name, trace_jit):
     assert log.batches <= log.eloops + -(-log.entries // 512) + 1
 
 
+def test_jit_does_not_change_the_pinned_stream(pinned):
+    """A superblock publishes exactly what the generic loop would, so
+    each program's pin is the same with the trace JIT off and on."""
+    for name in PROGRAMS:
+        assert pinned["%s/jit=False" % name] == \
+            pinned["%s/jit=True" % name], name
+
+
 def test_annotation_counter_sees_batched_markers():
     """A counting listener fed the batched stream tallies what the
     device counted itself."""

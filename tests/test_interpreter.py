@@ -170,6 +170,27 @@ class TestInterpreter:
         cycles = [e.cycle for e in rec.mem]
         assert cycles == sorted(cycles)
 
+    @pytest.mark.parametrize("trace_jit", [False, True],
+                             ids=["jit-off", "jit-on"])
+    def test_load_event_carries_the_address_read(self, trace_jit):
+        # ``t = a[t]`` compiles to an ALOAD whose destination is its own
+        # index slot: the event must name the element read, not the one
+        # the loaded value points at
+        src = "func main() { var a = array(8); " \
+              "for (var i = 0; i < 8; i = i + 1) { a[i] = (i + 3) % 8; } " \
+              "var t = 0; for (var k = 0; k < 40; k = k + 1) " \
+              "{ t = a[t]; } return t; }"
+        rec = RecordingListener()
+        res = run_program(compile_source(src), listener=rec,
+                          trace_jit=trace_jit)
+        (handle,) = res.heap.snapshot()
+        loads = [e.address for e in rec.mem if e.kind == "ld"]
+        want, t = [], 0
+        for _ in range(40):
+            want.append(handle + WORD_SIZE * t)
+            t = (t + 3) % 8
+        assert loads == want
+
     def test_heap_state_in_result(self):
         src = "func main() { var a = array(3); a[2] = 9; return 0; }"
         res = run_program(compile_source(src))
