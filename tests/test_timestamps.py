@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime.events import local_address
 from repro.tracer import (
     LineTimestampTable,
     LocalTimestampTable,
@@ -91,23 +92,23 @@ class TestLineTimestampTable:
 class TestLocalTimestampTable:
     def test_keyed_by_frame_and_slot(self):
         table = LocalTimestampTable(8)
-        table.record(1, 0, 10)
-        table.record(2, 0, 20)
-        assert table.lookup(1, 0) == 10
-        assert table.lookup(2, 0) == 20
-        assert table.lookup(1, 1) is None
+        table.record(local_address(1, 0), 10)
+        table.record(local_address(2, 0), 20)
+        assert table.lookup(local_address(1, 0)) == 10
+        assert table.lookup(local_address(2, 0)) == 20
+        assert table.lookup(local_address(1, 1)) is None
 
     def test_fifo_eviction(self):
         table = LocalTimestampTable(2)
-        table.record(0, 0, 1)
-        table.record(0, 1, 2)
-        table.record(0, 2, 3)
-        assert table.lookup(0, 0) is None
+        table.record(local_address(0, 0), 1)
+        table.record(local_address(0, 1), 2)
+        table.record(local_address(0, 2), 3)
+        assert table.lookup(local_address(0, 0)) is None
         assert table.evictions == 1
 
     def test_refresh(self):
         table = LocalTimestampTable(8)
-        table.record(0, 0, 1)
-        table.record(0, 0, 9)
-        assert table.lookup(0, 0) == 9
+        table.record(local_address(0, 0), 1)
+        table.record(local_address(0, 0), 9)
+        assert table.lookup(local_address(0, 0)) == 9
         assert len(table) == 1
