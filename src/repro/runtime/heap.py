@@ -50,9 +50,15 @@ class Heap:
             raise HeapError("invalid array handle %r" % handle)
         return arr
 
+    # the four accessors below look the handle up inline: they run
+    # once per executed ALOAD/ASTORE, and a helper call per access
+    # would cost as much as the access itself
+
     def load(self, handle, index):
         """Read element ``index``; returns the value."""
-        arr = self._array(handle)
+        arr = self._arrays.get(handle)
+        if arr is None:
+            raise HeapError("invalid array handle %r" % handle)
         if isinstance(index, float):
             index = int(index)
         if not 0 <= index < len(arr):
@@ -62,7 +68,9 @@ class Heap:
 
     def store(self, handle, index, value) -> None:
         """Write element ``index``."""
-        arr = self._array(handle)
+        arr = self._arrays.get(handle)
+        if arr is None:
+            raise HeapError("invalid array handle %r" % handle)
         if isinstance(index, float):
             index = int(index)
         if not 0 <= index < len(arr):
@@ -76,7 +84,9 @@ class Heap:
         One call where the traced paths would otherwise pay
         :meth:`load` plus :meth:`address` per event.
         """
-        arr = self._array(handle)
+        arr = self._arrays.get(handle)
+        if arr is None:
+            raise HeapError("invalid array handle %r" % handle)
         if isinstance(index, float):
             index = int(index)
         if not 0 <= index < len(arr):
@@ -86,7 +96,9 @@ class Heap:
 
     def store_addr(self, handle, index, value) -> int:
         """Write element ``index``; returns its byte address."""
-        arr = self._array(handle)
+        arr = self._arrays.get(handle)
+        if arr is None:
+            raise HeapError("invalid array handle %r" % handle)
         if isinstance(index, float):
             index = int(index)
         if not 0 <= index < len(arr):
