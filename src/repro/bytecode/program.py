@@ -13,6 +13,13 @@ from typing import Dict, List, Optional
 from repro.bytecode.instructions import Instr
 from repro.errors import BytecodeError
 
+#: slot operands must stay below this bound (the verifier enforces it):
+#: the tracer names an annotated local by a synthetic address with two
+#: bytes of ``slot * 4`` per frame
+#: (:func:`repro.runtime.events.local_address`), which is invertible
+#: only for ``slot < MAX_SLOTS``
+MAX_SLOTS = 1 << 14
+
 
 class Function:
     """A single bytecode function.

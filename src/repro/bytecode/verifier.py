@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.bytecode.opcodes import ANNOTATION_OPS, INTRINSICS, BinOp, Op, UnOp
-from repro.bytecode.program import Function, Program
+from repro.bytecode.program import MAX_SLOTS, Function, Program
 from repro.errors import BytecodeError
 
 
@@ -68,7 +68,8 @@ def verify_function(fn: Function, program: Program = None,
     * code is non-empty and every path ends in a terminator (the last
       instruction is ``RET``/``JMP``/``BR`` so the pc never falls off);
     * branch targets are in range;
-    * slot operands are non-negative where required;
+    * slot operands are non-negative where required, and below
+      :data:`~repro.bytecode.program.MAX_SLOTS`;
     * BIN/UN sub-opcodes are valid;
     * CALL targets exist when ``program`` is provided;
     * intrinsic names are known;
@@ -100,6 +101,10 @@ def verify_function(fn: Function, program: Program = None,
         if slot < 0:
             raise BytecodeError(
                 "%s: pc=%d negative %s slot %d" % (fn.name, pc, what, slot))
+        if slot >= MAX_SLOTS:
+            raise BytecodeError(
+                "%s: pc=%d %s slot %d is not below %d"
+                % (fn.name, pc, what, slot, MAX_SLOTS))
 
     for pc, ins in enumerate(code):
         op = ins.op
@@ -163,6 +168,8 @@ def verify_function(fn: Function, program: Program = None,
                         "%s: pc=%d call to %s with %d args, expects %d"
                         % (fn.name, pc, ins.name, len(ins.args),
                            callee.n_params))
+            if ins.a >= 0:
+                check_slot(pc, ins.a, "dst")
             for slot in ins.args:
                 check_slot(pc, slot, "arg")
         elif op == Op.INTRIN:
@@ -174,7 +181,8 @@ def verify_function(fn: Function, program: Program = None,
             for slot in ins.args:
                 check_slot(pc, slot, "arg")
         elif op == Op.RET:
-            pass  # a may be -1 (void)
+            if ins.a >= 0:  # a may be -1 (void)
+                check_slot(pc, ins.a, "src")
         elif op in (Op.SLOOP, Op.EOI, Op.ELOOP, Op.READSTATS):
             if ins.a < 0:
                 raise BytecodeError(

@@ -121,6 +121,35 @@ class TestVerifier:
             verify_function(self._fn(
                 Instr(Op.MOV, a=-1, b=0), Instr(Op.RET)))
 
+    @pytest.mark.parametrize("ins", [
+        Instr(Op.CONST, a=1 << 14, imm=0),
+        Instr(Op.MOV, a=0, b=1 << 14),
+        Instr(Op.PRINT, a=1 << 14),
+    ], ids=["const-dst", "mov-src", "print"])
+    def test_slot_beyond_local_address_range_rejected(self, ins):
+        # a local's trace address holds slot * 4 in 16 bits: slot 16384
+        # would alias slot 0 of the next frame
+        program = Program()
+        main = Function("main")
+        main.code = [ins, Instr(Op.RET)]
+        program.add(main)
+        with pytest.raises(BytecodeError, match="not below 16384"):
+            verify_program(program)
+
+    def test_largest_slot_accepted(self):
+        program = Program()
+        main = Function("main")
+        main.code = [Instr(Op.CONST, a=(1 << 14) - 1, imm=0),
+                     Instr(Op.RET, a=(1 << 14) - 1)]
+        program.add(main)
+        verify_program(program)
+
+    def test_call_and_ret_slots_bounded(self):
+        for ins in (Instr(Op.CALL, a=1 << 14, name="main"),
+                    Instr(Op.RET, a=1 << 14)):
+            with pytest.raises(BytecodeError):
+                verify_function(self._fn(ins, Instr(Op.RET)))
+
     def test_bad_bin_subopcode(self):
         with pytest.raises(BytecodeError):
             verify_function(self._fn(
