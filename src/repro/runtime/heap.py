@@ -111,10 +111,6 @@ class Heap:
         """Element count of the array."""
         return len(self._array(handle))
 
-    def address(self, handle, index) -> int:
-        """Byte address of element ``index`` (no bounds check)."""
-        return handle + WORD_SIZE * int(index)
-
     def snapshot(self) -> Dict[int, List]:
         """Copy of all arrays, for result comparisons in tests."""
         return {h: list(a) for h, a in self._arrays.items()}

@@ -96,12 +96,14 @@ class TestHeap:
         assert a % LINE_SIZE == 0
         assert b % LINE_SIZE == 0
         # no overlap: last byte of a is before b
-        assert heap.address(a, 9) + WORD_SIZE <= b
+        assert a + 9 * WORD_SIZE + WORD_SIZE <= b
 
     def test_element_addresses(self):
         heap = Heap()
         a = heap.allocate(8)
-        assert heap.address(a, 3) == a + 3 * WORD_SIZE
+        # the traced accessors report element k at handle + k * WORD_SIZE
+        assert heap.store_addr(a, 3, 7) == a + 3 * WORD_SIZE
+        assert heap.load_addr(a, 3) == (7, a + 3 * WORD_SIZE)
         assert line_of(a) == a // LINE_SIZE
 
     def test_zero_length_array_allowed(self):
