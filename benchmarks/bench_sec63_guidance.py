@@ -1,9 +1,9 @@
 """Section 6.3 — dependency profiles guide optimization.
 
-Runs the extended TEST implementation (per-load-PC critical-arc
-binning, Figure 8b) on the benchmarks the paper says it helped tune —
-Huffman, NumHeapSort, db, MipsSimulator — and prints each program's
-hottest dependency-carrying load sites.
+Reads the TEST device's per-load-PC critical-arc bins (the paper's
+extended implementation, Figure 8b) on the benchmarks the paper says
+they helped tune — Huffman, NumHeapSort, db, MipsSimulator — and prints
+each program's hottest dependency-carrying load sites.
 """
 
 from repro.jrpm import Jrpm
@@ -14,17 +14,16 @@ from benchmarks.conftest import banner
 TUNED = ["Huffman", "NumHeapSort", "db", "MipsSimulator"]
 
 
-def extended_report(name):
+def profiled_report(name):
     w = get_workload(name)
-    return Jrpm(source=w.source(), name=name, extended=True,
+    return Jrpm(source=w.source(), name=name,
                 convergence_threshold=None).run(simulate_tls=False)
 
 
 def test_sec63_dependency_guidance(benchmark):
-    print(banner("Section 6.3 - Per-PC dependency profiles "
-                 "(extended TEST)"))
+    print(banner("Section 6.3 - Per-PC dependency profiles"))
     for name in TUNED:
-        rep = extended_report(name)
+        rep = profiled_report(name)
         dev = rep.device
         print("\n--- %s ---" % name)
         # report the most-covered selected loop's profile
@@ -46,5 +45,5 @@ def test_sec63_dependency_guidance(benchmark):
                 assert site.fn
                 assert site.pc >= 0
 
-    benchmark.pedantic(extended_report, args=("Huffman",), rounds=1,
+    benchmark.pedantic(profiled_report, args=("Huffman",), rounds=1,
                        iterations=1)

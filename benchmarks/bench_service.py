@@ -177,7 +177,6 @@ def _load_body(i: int) -> Dict[str, Any]:
     names = ["BitOps", "Huffman", "IDEA", "NumHeapSort", "monteCarlo"]
     return {"workload": names[i % len(names)],
             "config": {"n_cpus": 2 + (i % 8)},
-            "extended": bool((i // 8) % 2),
             "fresh": True}
 
 

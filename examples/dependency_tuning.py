@@ -10,7 +10,7 @@ This example reproduces that loop:
 
 1. profile a kernel whose hot loop recomputes a *running average*
    every iteration — a needless loop-carried recurrence;
-2. let the extended TEST implementation name the exact load site;
+2. let TEST's per-load-PC dependency profile name the exact load site;
 3. apply the fix a programmer would (accumulate a sum — a reduction
    the speculative compiler eliminates — and divide after the loop);
 4. re-profile and compare predicted speedups.
@@ -58,7 +58,7 @@ func main() {
 
 
 def profile(source, name):
-    return Jrpm(source=source, name=name, extended=True,
+    return Jrpm(source=source, name=name,
                 convergence_threshold=None).run(simulate_tls=False)
 
 

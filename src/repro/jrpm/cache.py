@@ -21,8 +21,8 @@ Stages and their key components
     :class:`RunResult` of the unannotated program.
 ``profile``
     (annotate key, cost model, the profiling-relevant subset of
-    :class:`HydraConfig`, convergence threshold, extended flag,
-    instruction budget) -> the profiled run, the finished TEST device,
+    :class:`HydraConfig`, convergence threshold, instruction budget,
+    trace-JIT flag) -> the profiled run, the finished TEST device,
     the recorded event trace, and the annotation counter.
 
 Selection (Equation 2) and the TLS replay are recomputed on every run:

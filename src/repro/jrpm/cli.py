@@ -5,7 +5,6 @@ Usage::
     jrpm list                     # show the 26 paper workloads
     jrpm run huffman              # full pipeline on one workload
     jrpm run huffman --json       # machine-readable report
-    jrpm run huffman --extended   # with per-PC dependency profiling
     jrpm run huffman --models     # per-loop execution-model argmax
     jrpm run path/to/file.mj      # any minijava source file
     jrpm models                   # list the registered execution models
@@ -55,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "minijava source file path")
     run.add_argument("--base", action="store_true",
                      help="use base (unoptimized) annotations")
-    run.add_argument("--extended", action="store_true",
-                     help="collect per-PC dependency profiles")
     run.add_argument("--no-tls", action="store_true",
                      help="skip the TLS timing simulation")
     run.add_argument("--json", action="store_true",
@@ -793,8 +790,8 @@ def main(argv=None) -> int:
     level = AnnotationLevel.BASE if args.base \
         else AnnotationLevel.OPTIMIZED
     jrpm = Jrpm(source=source, name=name, level=level,
-                extended=args.extended, trace_jit=args.trace_jit,
-                optimize=args.optimize, models=args.models)
+                trace_jit=args.trace_jit, optimize=args.optimize,
+                models=args.models)
     report = jrpm.run(simulate_tls=not args.no_tls)
     if args.json:
         from repro.jrpm.report import report_json
@@ -821,13 +818,12 @@ def main(argv=None) -> int:
         from repro.jrpm.report import render_optimize_stats
         print()
         print(render_optimize_stats(report))
-    if args.extended:
+    print()
+    for sel in report.selection.selected[:3]:
+        print(report.device.report(sel.loop_id))
         print()
-        for sel in report.selection.selected[:3]:
-            print(report.device.report(sel.loop_id))
-            print()
-        from repro.tracer import OptimizationAdvisor
-        print(OptimizationAdvisor(report).render())
+    from repro.tracer import OptimizationAdvisor
+    print(OptimizationAdvisor(report).render())
     return 0
 
 

@@ -52,7 +52,6 @@ from repro.tls.engine import TraceEngine
 from repro.tls.simulator import TLSResult
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
-from repro.tracer.extended import ExtendedTestDevice
 from repro.tracer.selector import SelectionResult, select_stls
 
 
@@ -113,7 +112,6 @@ class Jrpm:
                  config: HydraConfig = DEFAULT_HYDRA,
                  cost_model: Optional[CostModel] = None,
                  level: AnnotationLevel = AnnotationLevel.OPTIMIZED,
-                 extended: bool = False,
                  optimize: bool = False,
                  min_speedup: float = 1.05,
                  convergence_threshold: int = 1000,
@@ -135,7 +133,6 @@ class Jrpm:
         self.config = config
         self.cost_model = cost_model
         self.level = level
-        self.extended = extended
         #: run the microJIT scalar optimizer before analysis
         self.optimize = optimize
         self.min_speedup = min_speedup
@@ -278,18 +275,16 @@ class Jrpm:
             pkey = cache_key(
                 STAGE_PROFILE, akey, cost_model,
                 profile_config_key(self.config),
-                self.convergence_threshold, self.extended,
+                self.convergence_threshold,
                 self.max_instructions, self.trace_jit,
                 # artifact-format version: bumped whenever a stored
                 # artifact changes shape, so stale disk blobs miss
-                "art3")
+                "art4")
             hit, art = cache.fetch(STAGE_PROFILE, pkey)
         if hit:
             profiled, device, recording = art
         else:
-            device_cls = ExtendedTestDevice if self.extended \
-                else TestDevice
-            device = device_cls(self.config)
+            device = TestDevice(self.config)
             device.convergence_threshold = self.convergence_threshold
             for lid, cand in annotated.annotated_loops.items():
                 device.register_loop_locals(lid, cand.tracked_locals)

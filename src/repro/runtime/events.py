@@ -31,9 +31,9 @@ class TraceListener:
                 fn: str = "", pc: int = -1) -> None:
         """A heap load of ``address`` completed at ``cycle``.
 
-        ``fn``/``pc`` identify the load instruction — the extended TEST
-        implementation (Section 6.3) bins dependency statistics by load
-        PC; basic listeners ignore them.
+        ``fn``/``pc`` identify the load instruction — the TEST device
+        bins dependency statistics by load PC (Section 6.3); other
+        listeners ignore them.
         """
 
     def on_store(self, address: int, cycle: int,

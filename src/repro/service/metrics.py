@@ -21,7 +21,7 @@ from repro.jrpm.cache import merge_stats
 
 #: log-spaced latency bucket upper bounds, in seconds (the last,
 #: implicit bucket is +Inf) — spans a cache hit (~1 ms) to a cold
-#: extended profile (tens of seconds)
+#: profile of a long-running workload (tens of seconds)
 DEFAULT_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
 

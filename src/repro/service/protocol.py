@@ -8,7 +8,6 @@ One request shape::
      "stages":   ["profile", "tls"],     # optional; drop "tls" to skip
                                          #   the timing simulation
      "level":    "optimized" | "base",   # optional annotation level
-     "extended": false,                  # optional per-PC profiling
      "optimize": false,                  # optional: run the LVN/LICM/
                                          #   DCE pass pipeline first
      "models":   ["hydra-tls", ...],     # optional: per-loop execution-
@@ -74,8 +73,8 @@ def parse_push_path(path: str) -> Optional[str]:
 
 
 #: top-level request keys the parser accepts
-_REQUEST_KEYS = ("workload", "config", "stages", "level", "extended",
-                 "optimize", "models", "fresh")
+_REQUEST_KEYS = ("workload", "config", "stages", "level", "optimize",
+                 "models", "fresh")
 
 #: HydraConfig constructor parameters, introspected once — the set of
 #: legal "config" override fields
@@ -100,7 +99,6 @@ class AnalyzeRequest:
                  config_overrides: Dict[str, Any],
                  simulate_tls: bool = True,
                  level: AnnotationLevel = AnnotationLevel.OPTIMIZED,
-                 extended: bool = False,
                  optimize: bool = False,
                  models: Tuple[str, ...] = (DEFAULT_MODEL,),
                  fresh: bool = False):
@@ -110,7 +108,6 @@ class AnalyzeRequest:
         self.config_overrides = dict(sorted(config_overrides.items()))
         self.simulate_tls = simulate_tls
         self.level = level
-        self.extended = extended
         self.optimize = optimize
         #: execution models competing per loop
         self.models = models
@@ -121,16 +118,15 @@ class AnalyzeRequest:
         #: the same computation
         self.key = cache_key(
             "analyze", workload.name, self.config_overrides,
-            simulate_tls, level, extended, optimize, models)
+            simulate_tls, level, optimize, models)
 
     @property
     def profile_key(self) -> Tuple:
         """Execution-profile equality: requests sharing it can run in
-        one fleet submission (same config, stages, level, extended,
-        optimize, models)."""
+        one fleet submission (same config, stages, level, optimize,
+        models)."""
         return (tuple(self.config_overrides.items()),
-                self.simulate_tls, self.level, self.extended,
-                self.optimize, self.models)
+                self.simulate_tls, self.level, self.optimize, self.models)
 
     def describe(self) -> Dict[str, Any]:
         """Echo block for responses and logs."""
@@ -140,7 +136,6 @@ class AnalyzeRequest:
             "stages": (["profile", "tls"] if self.simulate_tls
                        else ["profile"]),
             "level": self.level.value,
-            "extended": self.extended,
             "optimize": self.optimize,
             "models": list(self.models),
         }
@@ -251,7 +246,6 @@ def parse_analyze_request(body: bytes) -> AnalyzeRequest:
     return AnalyzeRequest(
         workload=workload, config=config, config_overrides=overrides,
         simulate_tls=simulate_tls, level=level,
-        extended=_parse_flag(data, "extended"),
         optimize=_parse_flag(data, "optimize"),
         models=_parse_models(data.get("models")),
         fresh=_parse_flag(data, "fresh"))

@@ -3,9 +3,9 @@
 The paper's core contribution: comparator banks performing the load
 dependency analysis and the speculative-state overflow analysis over an
 annotated sequential execution (Section 4.2), the Equation 1 speedup
-estimator, the Equation 2 nest selector, the extended per-PC dependency
-profiler (Section 6.3), and the software-only baseline the hardware is
-compared against (Section 5).
+estimator, the Equation 2 nest selector, the per-load-PC dependency
+profiles every device keeps (Section 6.3), and the software-only
+baseline the hardware is compared against (Section 5).
 """
 
 from repro.tracer.advisor import (
@@ -21,18 +21,13 @@ from repro.tracer.estimator import (
     base_speedup,
     estimate_speedup,
 )
-from repro.tracer.extended import (
-    ArcBin,
-    DependencyProfile,
-    ExtendedTestDevice,
-)
 from repro.tracer.selector import (
     LoopDecision,
     SelectionResult,
     select_stls,
 )
 from repro.tracer.software import SoftwareCosts, SoftwareProfiler
-from repro.tracer.stats import STLStats
+from repro.tracer.stats import ArcBin, DependencyProfile, STLStats
 from repro.tracer.timestamps import (
     LineTimestampTable,
     LocalTimestampTable,
@@ -46,7 +41,6 @@ __all__ = [
     "OptimizationAdvisor",
     "Recommendation",
     "DependencyProfile",
-    "ExtendedTestDevice",
     "LineTimestampTable",
     "LocalTimestampTable",
     "LoopDecision",

@@ -21,8 +21,6 @@ Rules (each cites the paper mechanism it encodes):
 * ``SPLIT_OR_DESCEND`` — the loop consistently overflows the
   speculative buffers: pick a deeper decomposition or shrink per-thread
   state (Section 6.1's data-set discussion).
-* ``LEAVE_SEQUENTIAL`` — high coverage but nothing TEST can see to fix:
-  the loop is serial at every level it measured.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import enum
 from typing import List, Optional
 
-from repro.tracer.extended import ExtendedTestDevice
 from repro.tracer.stats import STLStats
 
 
@@ -40,7 +37,6 @@ class Action(enum.Enum):
     SYNCHRONIZE = "insert synchronization"
     RESTRUCTURE_LOCAL = "restructure the local recurrence"
     SPLIT_OR_DESCEND = "reduce speculative state or descend the nest"
-    LEAVE_SEQUENTIAL = "leave sequential"
 
 
 class Recommendation:
@@ -53,7 +49,7 @@ class Recommendation:
         self.action = action
         #: human-readable evidence, with the statistics that triggered it
         self.reason = reason
-        #: "function:pc" load sites, when the extended device ran
+        #: "function:pc" load sites whose arcs limit the loop
         self.sites = sites or []
         #: fraction of program time at stake (sorting key)
         self.severity = severity
@@ -71,11 +67,8 @@ class Recommendation:
 
 
 class OptimizationAdvisor:
-    """Derives recommendations from a pipeline report.
-
-    Works with any report; per-site guidance needs the pipeline run
-    with ``extended=True`` so the device binned arcs by load PC.
-    """
+    """Derives recommendations from a pipeline report, naming load
+    sites from the device's per-PC dependency profiles."""
 
     def __init__(self, report,
                  min_coverage: float = 0.02,
@@ -91,10 +84,7 @@ class OptimizationAdvisor:
     # -- rules -------------------------------------------------------------
 
     def _sites_for(self, loop_id: int, stats: STLStats) -> List[str]:
-        device = self.report.device
-        if not isinstance(device, ExtendedTestDevice):
-            return []
-        profile = device.profile_for(loop_id)
+        profile = self.report.device.profile_for(loop_id)
         limiting = profile.limiting(stats.avg_thread_size,
                                     self.short_arc_fraction)
         return ["%s:%d" % (b.fn, b.pc) for b in limiting]
@@ -124,8 +114,8 @@ class OptimizationAdvisor:
                    and 0 < stats.avg_arc_len_prev < arc_bound
                    and speedup < 2.0)
         if limited:
-            local_share = (stats.local_arcs / stats.arcs_prev
-                           if stats.arcs_prev else 0.0)
+            # a positive average arc length means arcs_prev > 0
+            local_share = stats.local_arcs / stats.arcs_prev
             reason = ("%.0f%% of threads carry a %.0f-cycle arc in "
                       "%.0f-cycle threads (est. %.2fx)"
                       % (100 * stats.arc_freq_prev,
@@ -136,13 +126,9 @@ class OptimizationAdvisor:
                 return Recommendation(
                     loop_id, Action.RESTRUCTURE_LOCAL, reason,
                     sites=sites, severity=share)
-            if sites or stats.arcs_prev:
-                return Recommendation(
-                    loop_id, Action.SYNCHRONIZE, reason,
-                    sites=sites, severity=share)
             return Recommendation(
-                loop_id, Action.LEAVE_SEQUENTIAL, reason,
-                severity=share)
+                loop_id, Action.SYNCHRONIZE, reason,
+                sites=sites, severity=share)
         return None
 
     # -- API --------------------------------------------------------------

@@ -15,7 +15,9 @@ every active potential STL, exactly as the hardware would:
 * heap loads/stores consult and refresh the shared timestamp stores of
   Section 5.3; an active bank is handed each event whose timestamps
   its comparisons can act on.
-* ``eoi``/``eloop`` drive the per-thread accumulation.
+* ``eoi``/``eloop`` drive the per-thread accumulation, and each
+  thread's critical arcs are binned by load site into the loop's
+  :class:`~repro.tracer.stats.DependencyProfile` (Section 6.3).
 
 The device also records the *dynamic* loop nesting (which STL was active
 when another was entered, including nesting through calls) — this feeds
@@ -39,8 +41,8 @@ from repro.runtime.events import (
     local_address,
 )
 from repro.runtime.heap import LINE_SIZE
-from repro.tracer.bank import ArcSink, ComparatorBank
-from repro.tracer.stats import STLStats
+from repro.tracer.bank import ComparatorBank
+from repro.tracer.stats import DependencyProfile, STLStats
 from repro.tracer.timestamps import (
     LineTimestampTable,
     LocalTimestampTable,
@@ -72,13 +74,11 @@ class TestDevice(TraceListener):
     __test__ = False
 
     def __init__(self, config: HydraConfig = DEFAULT_HYDRA,
-                 arc_sink: Optional[ArcSink] = None,
                  strict: bool = True,
                  convergence_threshold: Optional[int] = None,
                  on_converged=None):
         self.config = config
         self.strict = strict
-        self._arc_sink = arc_sink
         #: profiled-thread count after which a loop's statistics are
         #: declared converged and its analysis is disabled (Section 5.2:
         #: "the annotations marking it can be disabled dynamically");
@@ -103,6 +103,8 @@ class TestDevice(TraceListener):
 
         #: persistent per-loop statistics (accumulated across activations)
         self.stats: Dict[int, STLStats] = {}
+        #: per-loop critical arcs binned by load site (Figure 8b)
+        self.profiles: Dict[int, DependencyProfile] = {}
         #: dynamic nesting: loop -> {parent loop (-1 = top level): count}
         self.dynamic_parents: Dict[int, Dict[int, int]] = {}
         #: loops whose analysis the runtime disabled
@@ -139,6 +141,10 @@ class TestDevice(TraceListener):
             self.stats[loop_id] = st
         return st
 
+    def profile_for(self, loop_id: int) -> DependencyProfile:
+        """The dependency profile of one loop (empty if never armed)."""
+        return self.profiles.get(loop_id, DependencyProfile(loop_id))
+
     def register_loop_locals(self, loop_id: int, slots) -> None:
         """Tell the device which local slots ``sloop n`` reserved for a
         loop; its bank then ignores other frames' and loops' locals."""
@@ -154,10 +160,17 @@ class TestDevice(TraceListener):
         """Loop ids currently on the activation stack, outermost first."""
         return [act.loop_id for act in self._stack]
 
+    def _new_bank(self, stats: STLStats) -> ComparatorBank:
+        profile = self.profiles.get(stats.loop_id)
+        if profile is None:
+            profile = DependencyProfile(stats.loop_id)
+            self.profiles[stats.loop_id] = profile
+        return ComparatorBank(self.config, stats, profile)
+
     def _try_allocate_bank(self, stats: STLStats) -> Optional[ComparatorBank]:
         if self._banks_in_use < self.config.n_comparator_banks:
             self._banks_in_use += 1
-            return ComparatorBank(self.config, stats, self._arc_sink)
+            return self._new_bank(stats)
         # bank stealing: free a consistently-overflowing outer bank so a
         # deeper loop can be analyzed (Section 5.2)
         for act in self._stack:
@@ -165,7 +178,7 @@ class TestDevice(TraceListener):
             if bank is not None and bank.consistently_overflowing():
                 act.bank = None
                 self.n_bank_steals += 1
-                return ComparatorBank(self.config, stats, self._arc_sink)
+                return self._new_bank(stats)
         return None
 
     # -- loop markers ----------------------------------------------------------
@@ -432,3 +445,24 @@ class TestDevice(TraceListener):
         """Deepest executed STL nest (Table 6 column d)."""
         return max((s.dynamic_depth for s in self.stats.values()),
                    default=0)
+
+    def report(self, loop_id: int, limit: int = 8) -> str:
+        """Human-readable optimization guidance for one STL: its
+        hottest load sites (Section 6.3)."""
+        stats = self.stats.get(loop_id)
+        profile = self.profile_for(loop_id)
+        lines = ["Dependency profile for STL L%d" % loop_id]
+        if stats is not None:
+            lines.append("  avg thread size: %.1f cycles"
+                         % stats.avg_thread_size)
+        if not profile.bins:
+            lines.append("  (no critical arcs recorded)")
+            return "\n".join(lines)
+        lines.append("  %-28s %6s %10s %8s" %
+                     ("load site", "arcs", "avg length", "bin"))
+        for (fn, pc, kind), b in sorted(
+                profile.bins.items(),
+                key=lambda kv: -kv[1].count)[:limit]:
+            lines.append("  %-28s %6d %10.1f %8s" %
+                         ("%s:%d" % (fn, pc), b.count, b.avg_length, kind))
+        return "\n".join(lines)

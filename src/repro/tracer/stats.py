@@ -10,9 +10,16 @@ match its "Derived values" column:
 * critical-arc frequency      = arcs / (threads - 1), per bin
 * average critical-arc length = accumulated lengths / arcs, per bin
 * overflow frequency          = overflowing threads / threads
+
+A :class:`DependencyProfile` bins the same critical arcs by the load
+instruction that closed them (Section 6.3, Figure 8b: the extended
+hardware's per-PC critical-arc SRAM), so a programmer or compiler sees
+which loads carry the dependencies that limit an STL.
 """
 
 from __future__ import annotations
+
+from typing import Dict, List, Tuple
 
 
 class STLStats:
@@ -237,3 +244,64 @@ class STLStats:
                 "ovf=%.2f>" % (self.loop_id, self.threads,
                                self.avg_thread_size, self.arcs_prev,
                                self.overflow_freq))
+
+
+class ArcBin:
+    """Accumulated critical-arc statistics for one load site."""
+
+    __slots__ = ("fn", "pc", "count", "total_length", "min_length",
+                 "max_length")
+
+    def __init__(self, fn: str, pc: int):
+        self.fn = fn
+        self.pc = pc
+        self.count = 0
+        self.total_length = 0
+        self.min_length = None
+        self.max_length = 0
+
+    def add(self, length: int) -> None:
+        self.count += 1
+        self.total_length += length
+        if self.min_length is None or length < self.min_length:
+            self.min_length = length
+        if length > self.max_length:
+            self.max_length = length
+
+    @property
+    def avg_length(self) -> float:
+        return self.total_length / self.count if self.count else 0.0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<ArcBin %s:%d n=%d avg=%.1f>" % (
+            self.fn, self.pc, self.count, self.avg_length)
+
+
+class DependencyProfile:
+    """All arc bins for one STL, queryable by severity."""
+
+    def __init__(self, loop_id: int):
+        self.loop_id = loop_id
+        self.bins: Dict[Tuple[str, int, str], ArcBin] = {}
+
+    def add(self, bin_kind: str, length: int, fn: str, pc: int) -> None:
+        key = (fn, pc, bin_kind)
+        entry = self.bins.get(key)
+        if entry is None:
+            entry = ArcBin(fn, pc)
+            self.bins[key] = entry
+        entry.add(length)
+
+    def hottest(self, limit: int = 10) -> List[ArcBin]:
+        """Load sites causing the most critical arcs, worst first."""
+        return sorted(self.bins.values(),
+                      key=lambda b: (-b.count, b.avg_length))[:limit]
+
+    def limiting(self, thread_size: float,
+                 fraction: float = 0.5) -> List[ArcBin]:
+        """Load sites whose average arc is much shorter than the thread
+        size — the paper's signal that moving the load/store or adding
+        synchronization would pay off (Section 6.3)."""
+        return [b for b in self.hottest(limit=len(self.bins))
+                if thread_size > 0
+                and b.avg_length < fraction * thread_size]

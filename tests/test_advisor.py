@@ -44,7 +44,7 @@ func main() {
 
 
 def profiled(source, name):
-    return Jrpm(source=source, name=name, extended=True,
+    return Jrpm(source=source, name=name,
                 convergence_threshold=None).run(simulate_tls=False)
 
 
@@ -62,7 +62,7 @@ class TestAdvisor:
         assert hot in by_loop
         rec = by_loop[hot]
         assert rec.action is Action.RESTRUCTURE_LOCAL
-        assert rec.sites, "extended run must name the load site"
+        assert rec.sites, "the device must name the load site"
         assert "cycle arc" in rec.reason
 
     def test_fixed_loop_not_flagged(self):
@@ -74,8 +74,7 @@ class TestAdvisor:
     def test_flags_buffer_overflow(self):
         from repro.hydra import HydraConfig
         tiny = HydraConfig(store_buffer_lines=8)
-        rep = Jrpm(source=OVERFLOWER, name="overflower", extended=True,
-                   config=tiny,
+        rep = Jrpm(source=OVERFLOWER, name="overflower", config=tiny,
                    convergence_threshold=None).run(simulate_tls=False)
         recs = OptimizationAdvisor(rep).advise()
         assert any(r.action is Action.SPLIT_OR_DESCEND for r in recs)
@@ -109,11 +108,13 @@ class TestAdvisor:
         text = OptimizationAdvisor(rep).render()
         assert "No tuning opportunities" in text
 
-    def test_works_without_extended_device(self):
-        rep = Jrpm(source=SERIAL_AVG, name="basic",
-                   convergence_threshold=None).run(simulate_tls=False)
+    def test_default_run_names_load_sites(self):
+        # the default pipeline (convergence on) bins arcs by load PC too
+        rep = Jrpm(source=SERIAL_AVG, name="basic").run(simulate_tls=False)
         recs = OptimizationAdvisor(rep).advise()
         hot = hot_loop_id(rep)
         flagged = [r for r in recs if r.loop_id == hot]
         assert flagged
-        assert flagged[0].sites == []  # no per-PC data without extended
+        assert flagged[0].sites
+        assert all(site.startswith("main:") for site in flagged[0].sites)
+        assert "[sites: main:" in flagged[0].render()

@@ -1,5 +1,5 @@
 """Integration tests for the Jrpm pipeline, reports, runtime patching,
-the software profiler, and the extended device."""
+the software profiler, and the per-PC dependency profiles."""
 
 import pytest
 
@@ -159,8 +159,11 @@ class TestRenderers:
 
 
 class TestExtendedDevice:
+    """Per-load-PC arc binning (the paper's extended TEST, Fig. 8b),
+    which every device run collects."""
+
     def test_per_pc_binning(self):
-        rep = Jrpm(source=HUFFMAN_SOURCE, extended=True,
+        rep = Jrpm(source=HUFFMAN_SOURCE,
                    convergence_threshold=None).run(simulate_tls=False)
         dev = rep.device
         # the inner bit-chase loop carries in_p arcs: its profile must
@@ -173,14 +176,14 @@ class TestExtendedDevice:
         assert hottest.fn == "main"
 
     def test_report_text(self):
-        rep = Jrpm(source=HUFFMAN_SOURCE, extended=True,
+        rep = Jrpm(source=HUFFMAN_SOURCE,
                    convergence_threshold=None).run(simulate_tls=False)
         lid = next(iter(rep.device.profiles))
         text = rep.device.report(lid)
         assert "Dependency profile" in text
 
     def test_limiting_sites_filter(self):
-        rep = Jrpm(source=HUFFMAN_SOURCE, extended=True,
+        rep = Jrpm(source=HUFFMAN_SOURCE,
                    convergence_threshold=None).run(simulate_tls=False)
         dev = rep.device
         for lid, profile in dev.profiles.items():
