@@ -8,7 +8,7 @@ in-current-thread?, and the running load/store line counters.
 from repro.hydra import HydraConfig
 from repro.runtime.heap import line_of
 from repro.tracer import ComparatorBank, TestDevice
-from repro.tracer.stats import STLStats
+from repro.tracer.stats import DependencyProfile, STLStats
 
 from benchmarks.conftest import banner
 
@@ -71,7 +71,7 @@ def test_fig4_overflow_analysis(benchmark):
     def tiny_limit_kernel():
         cfg = HydraConfig(load_buffer_lines=2, load_buffer_assoc=2)
         st = STLStats(0)
-        bank = ComparatorBank(cfg, st)
+        bank = ComparatorBank(cfg, st, DependencyProfile(0))
         bank.start_entry(0)
         for i in range(3):
             bank.observe_line_load(None)

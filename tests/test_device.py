@@ -8,7 +8,7 @@ from repro.hydra import DEFAULT_HYDRA, HydraConfig
 from repro.runtime.heap import LINE_SIZE
 from repro.tracer import TestDevice
 from repro.tracer.bank import ComparatorBank
-from repro.tracer.stats import STLStats
+from repro.tracer.stats import DependencyProfile, STLStats
 
 
 class TestEventRouting:
@@ -300,7 +300,7 @@ class TestComparisonBoundaries:
         timestamp tables."""
         stats = STLStats(0)
         stats.dynamic_depth = 1  # the device's nesting bookkeeping
-        bank = ComparatorBank(DEFAULT_HYDRA, stats)
+        bank = ComparatorBank(DEFAULT_HYDRA, stats, DependencyProfile(0))
         heap, local, ld_lines, st_lines = {}, {}, {}, {}
         for cycle, _order, kind, address in events:
             if kind == "sloop":

@@ -6,7 +6,12 @@ import pytest
 
 from repro.hydra import HydraConfig
 from repro.jrpm import Jrpm
-from repro.tracer import ComparatorBank, STLStats, TestDevice
+from repro.tracer import (
+    ComparatorBank,
+    DependencyProfile,
+    STLStats,
+    TestDevice,
+)
 
 
 class TestFigure3LoadDependency:
@@ -66,7 +71,7 @@ class TestFigure4OverflowTrace:
     def test_counters_follow_figure_columns(self):
         config = HydraConfig()
         stats = STLStats(0)
-        bank = ComparatorBank(config, stats)
+        bank = ComparatorBank(config, stats, DependencyProfile(0))
         bank.start_entry(0)
         # thread 0: LD new line, ST new line, LD same line again
         bank.observe_line_load(None)
@@ -89,7 +94,7 @@ class TestFigure4OverflowTrace:
     def test_overflow_increments_when_limits_exceeded(self):
         config = HydraConfig(store_buffer_lines=2)
         stats = STLStats(0)
-        bank = ComparatorBank(config, stats)
+        bank = ComparatorBank(config, stats, DependencyProfile(0))
         bank.start_entry(0)
         for _ in range(3):
             bank.observe_line_store(None)
