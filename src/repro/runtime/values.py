@@ -22,6 +22,19 @@ from repro.bytecode.opcodes import BinOp, UnOp
 from repro.errors import ExecutionError
 
 
+# Sub-opcodes as plain ints: comparing against an IntEnum member costs
+# several times an int compare, and these run once per BIN/UN executed.
+(_ADD, _SUB, _MUL, _DIV, _MOD, _AND, _OR, _XOR, _SHL, _SHR,
+ _LT, _LE, _GT, _GE, _EQ, _NE) = (
+    int(BinOp.ADD), int(BinOp.SUB), int(BinOp.MUL), int(BinOp.DIV),
+    int(BinOp.MOD), int(BinOp.AND), int(BinOp.OR), int(BinOp.XOR),
+    int(BinOp.SHL), int(BinOp.SHR), int(BinOp.LT), int(BinOp.LE),
+    int(BinOp.GT), int(BinOp.GE), int(BinOp.EQ), int(BinOp.NE))
+_NEG, _NOT, _INV, _I2F, _F2I = (
+    int(UnOp.NEG), int(UnOp.NOT), int(UnOp.INV), int(UnOp.I2F),
+    int(UnOp.F2I))
+
+
 def _require_ints(op_name: str, lhs, rhs) -> None:
     if isinstance(lhs, float) or isinstance(rhs, float):
         raise ExecutionError(
@@ -51,43 +64,43 @@ def java_mod(lhs, rhs):
 
 def apply_binop(sub: int, lhs, rhs):
     """Apply a :class:`~repro.bytecode.opcodes.BinOp` to two values."""
-    if sub == BinOp.ADD:
+    if sub == _ADD:
         return lhs + rhs
-    if sub == BinOp.SUB:
+    if sub == _SUB:
         return lhs - rhs
-    if sub == BinOp.MUL:
+    if sub == _MUL:
         return lhs * rhs
-    if sub == BinOp.DIV:
+    if sub == _DIV:
         return java_div(lhs, rhs)
-    if sub == BinOp.MOD:
+    if sub == _MOD:
         return java_mod(lhs, rhs)
-    if sub == BinOp.LT:
+    if sub == _LT:
         return 1 if lhs < rhs else 0
-    if sub == BinOp.LE:
+    if sub == _LE:
         return 1 if lhs <= rhs else 0
-    if sub == BinOp.GT:
+    if sub == _GT:
         return 1 if lhs > rhs else 0
-    if sub == BinOp.GE:
+    if sub == _GE:
         return 1 if lhs >= rhs else 0
-    if sub == BinOp.EQ:
+    if sub == _EQ:
         return 1 if lhs == rhs else 0
-    if sub == BinOp.NE:
+    if sub == _NE:
         return 1 if lhs != rhs else 0
-    if sub == BinOp.AND:
+    if sub == _AND:
         _require_ints("&", lhs, rhs)
         return lhs & rhs
-    if sub == BinOp.OR:
+    if sub == _OR:
         _require_ints("|", lhs, rhs)
         return lhs | rhs
-    if sub == BinOp.XOR:
+    if sub == _XOR:
         _require_ints("^", lhs, rhs)
         return lhs ^ rhs
-    if sub == BinOp.SHL:
+    if sub == _SHL:
         _require_ints("<<", lhs, rhs)
         if rhs < 0:
             raise ExecutionError("negative shift count %d" % rhs)
         return lhs << rhs
-    if sub == BinOp.SHR:
+    if sub == _SHR:
         _require_ints(">>", lhs, rhs)
         if rhs < 0:
             raise ExecutionError("negative shift count %d" % rhs)
@@ -97,17 +110,17 @@ def apply_binop(sub: int, lhs, rhs):
 
 def apply_unop(sub: int, value):
     """Apply a :class:`~repro.bytecode.opcodes.UnOp` to a value."""
-    if sub == UnOp.NEG:
+    if sub == _NEG:
         return -value
-    if sub == UnOp.NOT:
+    if sub == _NOT:
         return 0 if value else 1
-    if sub == UnOp.INV:
+    if sub == _INV:
         if isinstance(value, float):
             raise ExecutionError("~ requires an int operand, got %r" % value)
         return ~value
-    if sub == UnOp.I2F:
+    if sub == _I2F:
         return float(value)
-    if sub == UnOp.F2I:
+    if sub == _F2I:
         return int(value)
     raise ExecutionError("unknown UN sub-opcode %d" % sub)
 

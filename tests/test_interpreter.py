@@ -1,5 +1,7 @@
 """Unit tests for the interpreter, heap, values, and cost model."""
 
+import hashlib
+
 import pytest
 
 from repro.bytecode import BinOp, Op, UnOp
@@ -57,6 +59,93 @@ class TestValues:
         assert apply_unop(UnOp.INV, 0) == -1
         assert apply_unop(UnOp.I2F, 3) == 3.0
         assert apply_unop(UnOp.F2I, 3.9) == 3
+
+
+#: operands of the sub-opcode table: ints of both signs, zero, floats
+SUBOP_OPERANDS = (-7, -2, -1, 0, 1, 3, 64, 2.5, -0.5, 0.0)
+
+#: SHA-256 prefix of each sub-opcode's outcome table (see
+#: ``_subop_tables``), recorded when apply_binop/apply_unop still
+#: compared ``sub`` against the BinOp/UnOp members; "?" rows are
+#: unknown sub-opcodes
+SUBOP_PINS = {
+    "BIN.ADD": "e0b02d252dc23d6d",
+    "BIN.SUB": "a832ebd2aca2bd10",
+    "BIN.MUL": "d808f1d7b9d2f832",
+    "BIN.DIV": "2ec62abd1bc8b55d",
+    "BIN.MOD": "e3fcb1d8798e3ea6",
+    "BIN.AND": "2d7013ed125efdce",
+    "BIN.OR": "021c43d85d9b63e1",
+    "BIN.XOR": "d02eadc812662a37",
+    "BIN.SHL": "ed4d1f9993344d6f",
+    "BIN.SHR": "340e73dbbbab17bf",
+    "BIN.LT": "7c0bad986e478836",
+    "BIN.LE": "fb683068e990f1fe",
+    "BIN.GT": "f83d3c5584163c7a",
+    "BIN.GE": "51324af807f3733c",
+    "BIN.EQ": "b7a386acd6e41e29",
+    "BIN.NE": "19d069a28ab90098",
+    "UN.NEG": "3f86c458f15e9c78",
+    "UN.NOT": "8b922a3b6e769e94",
+    "UN.INV": "4a54832ce3a6cff9",
+    "UN.I2F": "83fb9140f99fa49b",
+    "UN.F2I": "7bb79c7e86932348",
+    "BIN.?": "0d0b5d24b0f549c8",
+    "UN.?": "439ff5782764e09d",
+}
+
+
+def _subop_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except ExecutionError as exc:
+        return ("raise", str(exc))
+    return (type(value).__name__, repr(value))
+
+
+def _subop_tables():
+    """Sub-opcode -> its outcome (value with its type, or the error)
+    over every operand (pair), with ``sub`` passed both as the enum
+    member and as a plain int."""
+    grid = SUBOP_OPERANDS
+    tables = {}
+    for op in BinOp:
+        tables["BIN." + op.name] = [
+            _subop_outcome(apply_binop, sub, a, b)
+            for sub in (op, int(op)) for a in grid for b in grid]
+    for op in UnOp:
+        tables["UN." + op.name] = [
+            _subop_outcome(apply_unop, sub, a)
+            for sub in (op, int(op)) for a in grid]
+    tables["BIN.?"] = [_subop_outcome(apply_binop, s, 1, 2)
+                       for s in (0, 17)]
+    tables["UN.?"] = [_subop_outcome(apply_unop, s, 1) for s in (0, 6)]
+    return tables
+
+
+class TestSubOpcodeTable:
+    def test_every_sub_opcode_matches_its_pin(self):
+        tables = _subop_tables()
+        assert sorted(tables) == sorted(SUBOP_PINS)
+        for name, rows in tables.items():
+            digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+            assert digest[:16] == SUBOP_PINS[name], name
+
+    def test_table_spot_checks(self):
+        """A readable slice of the pinned tables."""
+        tables = _subop_tables()
+        n = len(SUBOP_OPERANDS)
+        at = {v: i for i, v in enumerate(SUBOP_OPERANDS)}
+        cell = at[-7] * n + at[3]
+        assert tables["BIN.DIV"][cell] == ("int", "-2")
+        assert tables["BIN.MOD"][cell] == ("int", "-1")
+        assert tables["BIN.LT"][cell] == ("int", "1")
+        assert tables["BIN.SHL"][at[1] * n + at[-1]] == (
+            "raise", "negative shift count -1")
+        assert tables["BIN.AND"][at[2.5] * n + at[1]][0] == "raise"
+        assert tables["UN.F2I"][at[-0.5]] == ("int", "0")
+        assert tables["BIN.?"][1] == ("raise",
+                                      "unknown BIN sub-opcode 17")
 
 
 class TestHeap:
