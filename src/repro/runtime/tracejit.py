@@ -17,7 +17,9 @@ threads, applied here to the interpreter itself:
    (a loop closed), and is abandoned at a ``CALL``/``RET``, at a
    backedge to any *other* pc (an inner loop — it gets its own trace),
    at the length limit, or when live code patching invalidates the
-   function mid-recording.
+   function mid-recording.  A loop recording stopped by a ``RET`` ran
+   off its loop, so its anchor re-arms for the next backedge (see
+   :data:`MAX_RET_MISSES`).
 3. **Linking.**  A successful recording is verified
    (:func:`verify_trace`) and compiled into a *guarded superblock*: a
    Python function, generated and ``exec``-compiled at link time, that
@@ -159,6 +161,15 @@ BLACKLIST_MIN_OPS = 4
 #: outer loop, whose body contains the inner loop) exhausts the budget
 MAX_RECORD_ATTEMPTS = 4
 
+#: loop recordings an anchor may lose to a ``RET`` before it is
+#: blacklisted.  A loop recording reaches ``RET`` only after it ran off
+#: its loop (the last header test or an early return): a short-trip
+#: loop in a hot callee, which can run one-iteration entries for
+#: hundreds of calls in a row before a long one.  Such an anchor is
+#: re-armed for its very next backedge instead of re-warming, so it
+#: records again inside the next multi-iteration entry.
+MAX_RET_MISSES = 256
+
 #: execution-mode tags; fast and traced superblocks never alias
 MODE_FAST = "fast"
 MODE_TRACED = "traced"
@@ -232,6 +243,8 @@ class TraceJIT:
         self._state: Dict[Tuple[str, str], List] = {}
         #: (fn, mode, anchor) -> failed recording attempts so far
         self._attempts: Dict[Tuple[str, str, int], int] = {}
+        #: (fn, mode, anchor) -> loop recordings stopped by a RET so far
+        self._ret_misses: Dict[Tuple[str, str, int], int] = {}
         self._all: List[LinkedTrace] = []
         self.recordings = 0
         self.linked = 0
@@ -295,6 +308,7 @@ class TraceJIT:
         self.epoch = list(state["epoch"])
         self._state = {}
         self._attempts = {}
+        self._ret_misses = {}
         self._all = []
         self.recordings = state["recordings"]
         self.linked = state["linked"]
@@ -804,9 +818,18 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
         op = ins[0]
         if op == _CALL or op == _RET or len(entries) >= max_ops:
             # structural stop before executing: the generic loop takes
-            # over at this pc, and the anchor never records again
-            jit.blacklist(state, anchor)
+            # over at this pc, and the anchor never records again --
+            # unless a loop recording ran off its loop into the RET
+            # (see MAX_RET_MISSES), which re-arms for the next backedge
             jit.recordings_aborted += 1
+            if op == _RET and not tail:
+                key = (fn_name, mode, anchor)
+                misses = jit._ret_misses.get(key, 0) + 1
+                if misses < MAX_RET_MISSES:
+                    jit._ret_misses[key] = misses
+                    state[anchor] = 1
+                    return pc, cycles, executed
+            jit.blacklist(state, anchor)
             return pc, cycles, executed
         cycles += costs[pc]
         executed += 1

@@ -28,6 +28,7 @@ from repro.runtime.tracejit import (
     TraceJITError,
     verify_trace,
 )
+from repro.workloads.registry import get_workload
 
 NESTED_LOOPS = """
 func main() {
@@ -235,6 +236,38 @@ class TestRecordingStopRules:
         assert _observables(on) == _observables(off)
         assert on.jit["traces_linked"] == 0
         assert on.jit["traces_blacklisted"] >= 1
+
+    def test_short_trip_loop_in_hot_callee_gets_linked(self):
+        """A loop recording that runs off its loop into the callee's
+        RET re-arms instead of blacklisting: 200 one-iteration calls
+        (every recording lands on a RET) do not stop the loop from
+        linking once longer calls arrive."""
+        src = """
+        func bump(a, lo, hi) {
+          while (lo < hi) { a[lo] = a[lo] + lo; lo = lo + 1; }
+          return 0;
+        }
+        func main() {
+          var a = array(64);
+          for (var k = 0; k < 200; k = k + 1) { bump(a, 63, 64); }
+          for (var k = 0; k < 20; k = k + 1) { bump(a, 0, 64); }
+          return a[63] + a[1];
+        }
+        """
+        program = compile_source(src)
+        off = run_program(program, trace_jit=False)
+        on = run_program(program, trace_jit=True)
+        assert _observables(on) == _observables(off)
+        linked = [t for t in on.jit["traces"] if t["fn"] == "bump"]
+        assert linked and linked[0]["iterations"] > 1000
+
+    def test_numheapsort_sift_down_runs_in_superblocks(self):
+        """NumHeapSort's heapify makes ~175 one-iteration sift_down
+        calls in a row; its sequential run still spends most of its
+        instructions in superblocks."""
+        program = compile_source(get_workload("NumHeapSort").source())
+        on = run_program(program, trace_jit=True)
+        assert on.jit["ops_committed"] >= 0.70 * on.instructions
 
     def test_inner_loop_gets_its_own_trace(self):
         program = compile_source(NESTED_LOOPS)
