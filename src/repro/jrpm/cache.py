@@ -373,6 +373,42 @@ def diff_stats(after: Dict[str, Dict[str, int]],
     return out
 
 
+def quarantined_files(directory: str) -> Dict[str, Tuple[int, int]]:
+    """``.corrupt`` file name -> ``(inode, ctime ns)`` in ``directory``.
+    A quarantine renames a blob, which gives its ``.corrupt`` name a
+    new inode and ctime, so two of these snapshots tell which
+    quarantines happened in between."""
+    out: Dict[str, Tuple[int, int]] = {}
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return out
+    for name in names:
+        if name.endswith(".corrupt"):
+            try:
+                st = os.stat(os.path.join(directory, name))
+            except OSError:
+                continue
+            out[name] = (st.st_ino, st.st_ctime_ns)
+    return out
+
+
+def quarantines_since(directory: str,
+                      before: Dict[str, Tuple[int, int]]
+                      ) -> Dict[str, int]:
+    """Per-stage count of the quarantines made in ``directory`` since
+    the :func:`quarantined_files` snapshot ``before`` (a file whose
+    frame header is unreadable names no stage and is not counted)."""
+    counts: Dict[str, int] = {}
+    for name, mark in quarantined_files(directory).items():
+        if before.get(name) == mark:
+            continue
+        stage = blob_stage(os.path.join(directory, name))
+        if stage is not None:
+            counts[stage] = counts.get(stage, 0) + 1
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # offline cache maintenance (the ``jrpm cache`` subcommand)
 # ---------------------------------------------------------------------------

@@ -74,7 +74,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PipelineError
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
-from repro.jrpm.cache import ArtifactCache, diff_stats, merge_stats
+from repro.jrpm.cache import (
+    ArtifactCache,
+    diff_stats,
+    merge_stats,
+    quarantined_files,
+    quarantines_since,
+)
 from repro.jrpm.faults import FaultPlan
 from repro.jrpm.pipeline import Jrpm
 from repro.workloads.registry import Workload, all_workloads
@@ -313,6 +319,10 @@ class FleetExecutor:
         pending = deque(range(count))     # ready to (re)submit
         delayed: List[Tuple[float, int]] = []  # backoff heap
         in_flight: Dict = {}              # future -> (index, deadline)
+        #: quarantines on disk before the run, and whether a worker
+        #: was lost (pool break, timeout) along with its counters
+        quarantined = quarantined_files(cache_dir) if cache_dir else None
+        lost = False
         pool = self._acquire_pool()
 
         def payload(index: int) -> Tuple:
@@ -371,7 +381,7 @@ class FleetExecutor:
                     try:
                         _, outcome, worker_stats = future.result()
                     except BrokenProcessPool:
-                        pool_broke = True
+                        pool_broke = lost = True
                         requeue_or_fail(
                             index,
                             "worker process died (BrokenProcessPool)")
@@ -415,6 +425,7 @@ class FleetExecutor:
                         # is exact here, so bystanders requeue with
                         # their attempt refunded
                         exec_stats["timeouts"] += len(expired)
+                        lost = True
                         expired_futures = {f for f, _ in expired}
                         for future, (index, _) in in_flight.items():
                             if future not in expired_futures:
@@ -438,6 +449,16 @@ class FleetExecutor:
                     pool.shutdown(wait=False, cancel_futures=True)
                 except Exception:  # noqa: BLE001 - broken pools may refuse
                     pass
+
+        if lost and quarantined is not None:
+            # a lost worker took its counters along, but the blobs it
+            # quarantined are still on disk: count those, so a corrupt
+            # blob read by a worker that then died is not missed
+            for stage, count in quarantines_since(
+                    cache_dir, quarantined).items():
+                slot = stats.setdefault(stage, {"hits": 0, "misses": 0,
+                                                "corrupt": 0})
+                slot["corrupt"] = max(slot.get("corrupt", 0), count)
 
         return (self._rows_from_results(workloads, results, stats,
                                         exec_stats),

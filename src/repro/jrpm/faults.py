@@ -21,7 +21,10 @@ Each fault fires at most ``times`` times (default once) **across every
 process in the fleet**: firing is claimed by atomically creating a
 marker file under ``state_dir`` (``O_CREAT | O_EXCL``), which is shared
 by all workers, so a killed workload's retry runs clean and tests stay
-deterministic.  The executor threads the plan into each worker
+deterministic.  A truncation is claimed after the blobs are cut, not
+before: a worker terminated mid-firing (another worker's kill breaks
+the pool under it) would otherwise use the firing up with nothing
+corrupted.  The executor threads the plan into each worker
 (:meth:`on_workload_start`) and into each pipeline via
 ``Jrpm(stage_hook=...)`` (:meth:`stage_hook`).
 """
@@ -123,13 +126,15 @@ class FaultPlan:
 
     # -- firing ------------------------------------------------------------
 
+    def _markers(self, fault: Fault) -> List[str]:
+        return [os.path.join(self.state_dir, "%s.%d" % (fault.fault_id, n))
+                for n in range(fault.times)]
+
     def _claim(self, fault: Fault) -> bool:
         """Atomically claim one of the fault's firings; False when the
         cap is exhausted.  Safe across processes: each firing is an
         exclusive marker-file creation."""
-        for n in range(fault.times):
-            marker = os.path.join(
-                self.state_dir, "%s.%d" % (fault.fault_id, n))
+        for marker in self._markers(fault):
             try:
                 handle = os.open(marker,
                                  os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -138,6 +143,11 @@ class FaultPlan:
             os.close(handle)
             return True
         return False
+
+    def _unfired(self, fault: Fault) -> bool:
+        """Whether one of the fault's firings is left, without claiming
+        it."""
+        return not all(map(os.path.exists, self._markers(fault)))
 
     def on_workload_start(self, workload: str,
                           cache_dir: Optional[str] = None,
@@ -153,8 +163,11 @@ class FaultPlan:
             if fault.workload != workload:
                 continue
             if fault.kind == TRUNCATE:
-                if cache_dir is not None and self._claim(fault):
+                # claimed only once the blobs are cut: a worker killed
+                # mid-firing (a pool break) leaves it to the retry
+                if cache_dir is not None and self._unfired(fault):
                     truncate_stage_blobs(cache_dir, fault.stage)
+                    self._claim(fault)
             elif fault.kind == KILL:
                 if self._claim(fault):
                     if in_worker:

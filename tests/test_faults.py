@@ -12,14 +12,18 @@ import os
 
 import pytest
 
-from repro.jrpm.batch import FleetErrorRow, run_fleet
+from repro.jrpm import faults
+from repro.jrpm.batch import FleetErrorRow, FleetRow, run_fleet
 from repro.jrpm.cache import STAGE_COMPILE, STAGE_PROFILE, ArtifactCache
+from repro.jrpm.executor import FleetExecutor
 from repro.jrpm.faults import (
+    KILL_EXIT_CODE,
     FaultInjected,
     FaultPlan,
     WorkerKilled,
     truncate_stage_blobs,
 )
+from repro.jrpm.pipeline import Jrpm
 from repro.workloads import get_workload
 
 #: small/fast paper workloads; order matters for the combined test
@@ -88,6 +92,40 @@ class TestFaultPlanMechanics:
         assert not hit
         hit, got = fresh.fetch(STAGE_PROFILE, "k2")
         assert hit and got == [4, 5, 6]
+
+
+    def test_truncation_is_claimed_only_once_it_took_effect(
+            self, tmp_path, monkeypatch):
+        """A worker terminated mid-truncation (a pool break) must not
+        use the firing up: the retry truncates instead."""
+        plan = _plan(tmp_path).truncate_blob("w", STAGE_COMPILE)
+        cut = []
+
+        def terminated(cache_dir, stage):
+            raise SystemExit(KILL_EXIT_CODE)
+
+        monkeypatch.setattr(faults, "truncate_stage_blobs", terminated)
+        with pytest.raises(SystemExit):
+            plan.on_workload_start("w", str(tmp_path))
+        monkeypatch.setattr(faults, "truncate_stage_blobs",
+                            lambda cache_dir, stage: cut.append(stage))
+        plan.on_workload_start("w", str(tmp_path))
+        plan.on_workload_start("w", str(tmp_path))
+        assert cut == [STAGE_COMPILE]
+
+
+def _quarantine_then_die(workload, config, simulate_tls, cache, **kwargs):
+    """Fleet task: run the pipeline, which quarantines any truncated
+    blob it reads, then kill the worker on the first attempt, so the
+    counters of that quarantine die with it."""
+    report = Jrpm(source=workload.source(), name=workload.name,
+                  config=config, cache=cache, **kwargs).run(
+                      simulate_tls=simulate_tls)
+    marker = os.path.join(os.path.dirname(cache.directory), "died")
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(KILL_EXIT_CODE)
+    return FleetRow(workload, report)
 
 
 class TestSerialFaults:
@@ -184,6 +222,25 @@ class TestParallelFaults:
         quarantined = [n for n in os.listdir(cache_dir)
                        if n.endswith(".corrupt")]
         assert quarantined
+
+
+    def test_quarantine_by_a_lost_worker_is_counted(self, tmp_path):
+        """The first attempt quarantines the truncated compile blob,
+        stores a recomputed one and dies; the retry hits.  The
+        quarantine still counts: its file is on disk."""
+        cache_dir = str(tmp_path / "cache")
+        workloads = [get_workload("monteCarlo")]
+        run_fleet(workloads, simulate_tls=False,
+                  cache=ArtifactCache(cache_dir))
+        plan = _plan(tmp_path).truncate_blob("monteCarlo", STAGE_COMPILE)
+        result = FleetExecutor(
+            jobs=2, simulate_tls=False, cache=ArtifactCache(cache_dir),
+            on_error="row", retries=1, backoff=0.0, fault_plan=plan,
+            task=_quarantine_then_die).run(workloads)
+        assert [r.ok for r in result.rows] == [True]
+        assert result.crash_count == 1
+        assert result.cache_stats[STAGE_COMPILE]["hits"] == 1
+        assert result.cache_corrupt == 1
 
 
 class TestCombinedDegradation:
