@@ -33,5 +33,5 @@ class SequentialModel(SpeculationModel):
         result = TLSResult(compilation.loop_id)
         for entry in entries:
             result.add(EntryResult(entry.total_cycles, entry.total_cycles,
-                                   0, 0, len(entry.threads)))
+                                   0, 0, len(entry.sizes)))
         return result

@@ -17,7 +17,8 @@ one synthetic :func:`local_address`.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 
 class TraceListener:
@@ -244,8 +245,11 @@ class ColumnarRecording(TraceListener):
       mark, in order.
 
     :meth:`loop_marks` serves one loop's mark positions from a per-loop
-    index, built in one pass on first use and left out of the pickled
-    state, so the splitter reads only the marks of the loop it windows.
+    index (one ``array('i')`` per loop), built in one pass on first use,
+    so the splitter reads only the marks of the loop it windows.  The
+    index is pickled with the columns: a cached profile's recording
+    splits without rebuilding it, and a pickle saved without it
+    rebuilds it on first use.
     ``marks`` materializes the row view (tests / debugging only).
     """
 
@@ -262,12 +266,14 @@ class ColumnarRecording(TraceListener):
         self.mark_loops = array("i")
         self.sloop_frames = array("q")
         #: (mark count, loop id -> mark positions), built on first use
-        self._loop_index: Optional[Tuple[int, Dict[int, List[int]]]] = None
+        self._loop_index: Optional[Tuple[int, Dict[int, array]]] = None
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_loop_index"] = None
-        return state
+        # the index ships with the columns, so an unpickled recording
+        # splits without a pass over every mark; a state saved without
+        # it (None) rebuilds on first use
+        self._index()
+        return self.__dict__
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -287,18 +293,23 @@ class ColumnarRecording(TraceListener):
                 for kind, cycle, loop_id in zip(
                     self.mark_kinds, self.mark_cycles, self.mark_loops)]
 
-    def loop_marks(self, loop_id: int) -> List[int]:
+    def loop_marks(self, loop_id: int) -> Sequence[int]:
         """Positions in the mark columns of ``loop_id``'s marks, in
-        order.  The index over every loop is built on first use and
-        rebuilt when more marks arrive."""
+        order."""
+        return self._index().get(loop_id, ())
+
+    def _index(self) -> Dict[int, array]:
+        """The per-loop mark index: built on first use, rebuilt when
+        more marks arrive."""
         loops = self.mark_loops
         cached = self._loop_index
         if cached is None or cached[0] != len(loops):
-            index: Dict[int, List[int]] = {lid: [] for lid in set(loops)}
+            index: Dict[int, array] = {lid: array("i")
+                                       for lid in set(loops)}
             for pos, lid in enumerate(loops):
                 index[lid].append(pos)
             cached = self._loop_index = (len(loops), index)
-        return cached[1].get(loop_id, [])
+        return cached[1]
 
     # -- memory events ---------------------------------------------------
 

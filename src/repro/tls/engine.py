@@ -5,7 +5,7 @@ One :class:`TraceEngine` wraps one
 :class:`~repro.runtime.events.ColumnarRecording` and serves every model
 replay the back half of the Jrpm pipeline runs against it:
 
-* ``split(loop_id)`` — zero-copy thread windowing, computed once per
+* ``split(loop_id)`` — index-only thread windowing, computed once per
   loop and shared by every model that replays it (the shared cycle
   index is the sorted ``cycles`` column itself);
 * the replay itself —

@@ -15,82 +15,54 @@ predictor captures.  An irregular live-in (stored from data-dependent
 paths) jitters the offset and the predictor loses confidence — the same
 loops where real value prediction fails.
 
-Training happens at *produce* time: when iteration ``i`` stores a local
-live-in, :meth:`observe` first grades the prediction that was
-outstanding for that store (made from history strictly before it), then
-folds the new observation in.  Consumers query :meth:`consume`, which
-reports how the most recent store of an address was covered:
-``"hit"`` (confident prediction, correct — no wait), ``"miss"``
-(confident prediction, wrong — restart penalty), or ``None`` (no
-prediction attempted — fall back to post/wait).  Because the producer
-always publishes before its consumers are scheduled, grading at
-produce time is deterministic and causally sound.
+The predictor keeps, per address, the offsets of every producer store
+(:meth:`observe`).  A stride table that needs two consecutive equal
+strides before it commits to predicting the next store has a closed
+form over that history.  Let ``r_0 .. r_k`` be an address's offsets
+and ``d_i = r_i - r_(i-1)``; the latest store ``r_k`` was
+
+* not predicted (``None``) if ``k < 3`` or ``d_(k-1) != d_(k-2)``;
+* predicted correctly (``"hit"``) if ``d_k == d_(k-1)``;
+* mispredicted (``"miss"``) otherwise.
+
+:func:`outcome` is that rule, the one place it is written down.
+Consumers query :meth:`consume`, which reports how the most recent
+store of an address was covered: ``"hit"`` (no wait), ``"miss"``
+(restart penalty), or ``None`` (fall back to post/wait).  Because the
+producer always publishes before its consumers are scheduled, the
+answer is deterministic and causally sound.  Addresses never interact,
+so a history only ever needs its own address's stores.
 """
+
+from collections import defaultdict
+from typing import List, Optional
+
+
+def outcome(history: List[int]) -> Optional[str]:
+    """Coverage of the latest store in ``history`` (store offsets of one
+    address, oldest first): ``"hit"``, ``"miss"`` or ``None``."""
+    if len(history) < 4:
+        return None
+    r0, r1, r2, r3 = history[-4:]
+    stride = r2 - r1
+    if stride != r1 - r0:
+        return None
+    return "hit" if r3 - r2 == stride else "miss"
 
 
 class LiveInPredictor:
-    """Per-address last-value/stride table over producer-store offsets."""
+    """Per-address producer-store offset histories plus the stride
+    rule of :func:`outcome`."""
 
-    # Consecutive same-stride observations required before the
-    # predictor commits to a prediction for the next store.
-    CONFIDENCE_THRESHOLD = 2
-
-    __slots__ = ("_table", "trains", "predictions", "hits")
+    __slots__ = ("histories",)
 
     def __init__(self):
-        # addr -> [last_rel, stride, streak, outcome]; outcome is the
-        # coverage of the most recent store: "hit", "miss", or None.
-        self._table = {}
-        self.trains = 0
-        self.predictions = 0
-        self.hits = 0
-
-    @property
-    def mispredictions(self):
-        return self.predictions - self.hits
-
-    @property
-    def hit_rate(self):
-        if self.predictions == 0:
-            return 0.0
-        return self.hits / self.predictions
+        #: addr -> offsets of every store of it, oldest first
+        self.histories = defaultdict(list)
 
     def observe(self, addr, rel):
-        """Train on a producer store of *addr* at relative cycle *rel*.
-
-        Grades the outstanding prediction for this store (if the table
-        was confident) before updating the stride history.
-        """
-        self.trains += 1
-        entry = self._table.get(addr)
-        if entry is None:
-            self._table[addr] = [rel, None, 0, None]
-            return
-        last_rel, stride, streak, _ = entry
-        new_stride = rel - last_rel
-        if stride is None:
-            entry[0] = rel
-            entry[1] = new_stride
-            entry[2] = 1
-            entry[3] = None
-            return
-        correct = new_stride == stride
-        if streak >= self.CONFIDENCE_THRESHOLD:
-            self.predictions += 1
-            if correct:
-                self.hits += 1
-                entry[3] = "hit"
-            else:
-                entry[3] = "miss"
-        else:
-            entry[3] = None
-        if correct:
-            entry[0] = rel
-            entry[2] = streak + 1
-        else:
-            entry[0] = rel
-            entry[1] = new_stride
-            entry[2] = 1
+        """Record a producer store of *addr* at relative cycle *rel*."""
+        self.histories[addr].append(rel)
 
     def consume(self, addr):
         """How the latest store of *addr* was covered.
@@ -98,7 +70,43 @@ class LiveInPredictor:
         Returns ``"hit"``, ``"miss"``, or ``None`` (no prediction was
         attempted, or the address was never stored).
         """
-        entry = self._table.get(addr)
-        if entry is None:
-            return None
-        return entry[3]
+        history = self.histories.get(addr)
+        return None if history is None else outcome(history)
+
+    # -- training-side counters, derived from the histories ---------------
+
+    @property
+    def trains(self):
+        """Stores observed."""
+        return sum(map(len, self.histories.values()))
+
+    def _graded(self):
+        """``(predictions, hits)`` over every store observed."""
+        predictions = hits = 0
+        for history in self.histories.values():
+            for k in range(4, len(history) + 1):
+                graded = outcome(history[k - 4:k])
+                if graded is not None:
+                    predictions += 1
+                    hits += graded == "hit"
+        return predictions, hits
+
+    @property
+    def predictions(self):
+        """Stores the table was confident about."""
+        return self._graded()[0]
+
+    @property
+    def hits(self):
+        """Confident predictions that were right."""
+        return self._graded()[1]
+
+    @property
+    def mispredictions(self):
+        predictions, hits = self._graded()
+        return predictions - hits
+
+    @property
+    def hit_rate(self):
+        predictions, hits = self._graded()
+        return hits / predictions if predictions else 0.0

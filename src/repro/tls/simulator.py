@@ -33,7 +33,11 @@ The model fixes the *dependence policy* for the rest:
   producer's post.  One :class:`~repro.tls.predictor.LiveInPredictor`,
   shared across the STL's entries, gates local arcs: a correct
   confident prediction skips the wait, a wrong one waits and pays the
-  restart penalty on top.  Iterations commit as they go, so nothing
+  restart penalty on top.  The predictor is fed at each kept local
+  store event, as the thread streams through: a consume of an address
+  only happens before the thread's own store of it (later loads are
+  forwarded), and addresses never interact, so this equals training at
+  the end of the thread.  Iterations commit as they go, so nothing
   overflows.
 
 Because the estimators work from *averaged* statistics while this
@@ -47,8 +51,10 @@ other-frame locals dropped, loads covered by the thread's own store
 forwarded), checked against the Table 1 speculative buffers, and
 resolved against the latest visible store of its address; only the
 thread's kept stores are buffered, to be published once its start time
-is known.  Row-layout threads feed the same loop through a ``(kind
-code, address, rel)`` adapter.
+is known.  A columnar entry's windows are index lists (event bounds,
+start cycles, sizes), so no per-thread object is built; row-layout
+threads feed the same loop through a ``(kind code, address, rel)``
+adapter.
 
 The first overflow is found by counting distinct lines per load-buffer
 set and distinct store-buffer lines.  That is exact for the LRU
@@ -61,6 +67,7 @@ from __future__ import annotations
 
 import time
 from itertools import islice
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -77,7 +84,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.heap import LINE_SIZE
 from repro.tls.predictor import LiveInPredictor
-from repro.tls.thread_trace import EntryTrace, ThreadView
+from repro.tls.thread_trace import EntryTrace
 
 
 class EntryResult:
@@ -221,26 +228,28 @@ class DoacrossResult(TLSResult):
 _KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
-def _entry_events(threads: list) -> tuple:
+def _entry_events(entry: EntryTrace) -> tuple:
     """One ``(kind code, address, cycle)`` stream over every event of an
-    entry, plus each thread's ``(event count, window start)``.
+    entry, plus each thread's ``(event count, window start, size)``.
 
-    Columnar windows are contiguous, so the three columns are sliced
-    once per entry and each thread consumes its share of one ``zip``.
+    A columnar entry's windows are contiguous, so the three columns are
+    sliced once and each thread consumes its share of one ``zip``.
     Row-layout threads go through an adapter: their events are already
     thread-relative, so their window starts at 0.
     """
-    first = threads[0]
-    if type(first) is ThreadView:
-        rec = first.recording
-        lo, hi = first.lo, threads[-1].hi
+    rec = entry.recording
+    if rec is not None:
+        bounds = entry.bounds
+        lo, hi = bounds[0], bounds[-1]
         return (zip(rec.kinds[lo:hi], rec.addresses[lo:hi],
                     rec.cycles[lo:hi]),
-                [(t.hi - t.lo, t.start) for t in threads])
+                zip(map(sub, bounds[1:], bounds), entry.starts,
+                    entry.sizes))
     codes = _KIND_CODES
+    threads = entry.threads
     return (iter([(codes[kind], addr, rel)
                   for t in threads for rel, kind, addr in t.events]),
-            [(len(t.events), 0) for t in threads])
+            [(len(t.events), 0, t.size) for t in threads])
 
 
 class TraceSimulator:
@@ -296,13 +305,12 @@ class TraceSimulator:
     def _simulate_entry(self, entry: EntryTrace, result: TLSResult,
                         predictor: Optional[LiveInPredictor]) -> None:
         cfg = self.config
-        threads = entry.threads
-        n = len(threads)
+        n = len(entry.sizes)
         if n == 0:
             result.add(EntryResult(0, entry.total_cycles, 0, 0, 0))
             return
 
-        events, windows = _entry_events(threads)
+        events, windows = _entry_events(entry)
         # the entry frame's locals, minus the eliminated slots; every
         # other frame's locals are a callee's (frame ids are unique per
         # activation), so they never carry a cross-thread arc
@@ -324,7 +332,11 @@ class TraceSimulator:
         # post/wait waits on every heap arc; restart-on-violation does
         # only under the Section 6.3 synchronization optimization
         wait_heap = self.post_wait or self.compilation.synchronize_heap
-        consume = predictor.consume if predictor is not None else None
+        if predictor is not None:
+            consume = predictor.consume
+            histories = predictor.histories
+        else:
+            consume = histories = None
 
         #: address -> absolute time its latest store became visible
         last_store: Dict[int, int] = {}
@@ -333,15 +345,12 @@ class TraceSimulator:
         prev_start = cfg.startup_overhead  # loop startup before thread 0
         violations = overflows = posts = hits = 0
 
-        for j, (thread, (count, w_start)) in enumerate(
-                zip(threads, windows)):
+        for j, (count, w_start, size) in enumerate(windows):
             start = max(cpu_free[j % p], prev_start)
             #: address -> rel of this thread's latest store to it: the
             #: kept stores, published once the thread is placed, and the
             #: own-store forwarding set
             stored: Dict[int, int] = {}
-            #: (address, rel) of every kept local store, for the predictor
-            local_stores: List[Tuple[int, int]] = []
             heap_deps: List[Tuple[int, int]] = []
             # first overflow: distinct lines per load-buffer set and in
             # the store buffer, counted until one exceeds its capacity
@@ -381,9 +390,12 @@ class TraceSimulator:
                         start = need
                 elif kind == KIND_LST:
                     if frame_lo <= addr < frame_hi and addr not in dropped:
-                        stored[addr] = cyc - w_start
-                        if consume is not None:
-                            local_stores.append((addr, cyc - w_start))
+                        rel = cyc - w_start
+                        stored[addr] = rel
+                        if histories is not None:
+                            # the thread's own later loads of addr are
+                            # forwarded, so no consume sees this early
+                            histories[addr].append(rel)
                 elif kind == KIND_LD:
                     if tracking:
                         line = addr // line_size
@@ -441,22 +453,19 @@ class TraceSimulator:
             # issued after an overflow point only drain once the thread
             # resumes as head, so their visible time shifts accordingly
             if overflow_at is None:
-                finish = start + thread.size + eoi
+                finish = start + size + eoi
                 for addr, rel in stored.items():
                     last_store[addr] = start + rel
             else:
                 overflows += 1
-                self.overflow_points.append((overflow_at, thread.size))
+                self.overflow_points.append((overflow_at, size))
                 # stall at the overflow point until head, then drain
                 resume = max(start + overflow_at, commit_prev)
-                finish = resume + (thread.size - overflow_at) + eoi
+                finish = resume + (size - overflow_at) + eoi
                 for addr, rel in stored.items():
                     last_store[addr] = (resume + (rel - overflow_at)
                                         if rel > overflow_at
                                         else start + rel)
-            if consume is not None:
-                for addr, rel in local_stores:
-                    predictor.observe(addr, rel)
 
             if finish > commit_prev:
                 commit_prev = finish

@@ -12,11 +12,13 @@ Two trace layouts are supported:
 * the columnar :class:`~repro.runtime.events.ColumnarRecording`
   (structure-of-arrays): only the selected loop's marks are read,
   through the recording's per-loop mark index, and windowing is
-  **zero-copy** — each thread is a :class:`ThreadView` holding an index
-  range into the shared columns, and the sorted ``cycles`` column *is*
-  the cycle index (the interpreter's clock only increases), so no
-  per-call index rebuild and no per-thread event materialization
-  happen at all;
+  **index-only** — an entry carries three plain lists (each thread
+  boundary's event index, each thread's start cycle and size), found
+  with one bisection per boundary on the sorted ``cycles`` column,
+  which *is* the cycle index (the interpreter's clock only
+  increases).  No per-thread object and no per-thread event list is
+  built; :class:`ThreadView` windows over the shared columns are made
+  only when ``entry.threads`` is read;
 * the row-of-tuples :class:`~repro.runtime.events.RecordingListener`:
   every mark is walked and threads materialize :class:`ThreadEvent`
   lists.  The pipeline always records columns; this path is the test
@@ -28,6 +30,8 @@ Two trace layouts are supported:
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
+from operator import sub
 from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -105,17 +109,57 @@ AnyThread = Union[ThreadTrace, ThreadView]
 
 
 class EntryTrace:
-    """One dynamic entry of the STL: an ordered list of threads."""
+    """One dynamic entry of the STL: an ordered run of threads.
 
-    __slots__ = ("threads", "total_cycles", "frame_id")
+    A row entry holds its :class:`ThreadTrace` list.  A columnar entry
+    holds three plain lists instead — ``bounds`` (the event index of
+    each thread boundary, one more than there are threads), ``starts``
+    (each thread's absolute start cycle) and ``sizes`` — and builds
+    :class:`ThreadView` objects only when ``threads`` is read (tests
+    and the row comparisons; the replay reads the lists).
+    """
+
+    __slots__ = ("_threads", "total_cycles", "frame_id", "sizes",
+                 "recording", "bounds", "starts")
 
     def __init__(self, threads: List[AnyThread], total_cycles: int,
                  frame_id: int):
-        self.threads = threads
+        self._threads = threads
         #: sequential cycles from sloop to eloop (includes the exit tail)
         self.total_cycles = total_cycles
         #: the frame that executed this entry (for local classification)
         self.frame_id = frame_id
+        #: sequential cycle length of each thread
+        self.sizes = [t.size for t in threads]
+        #: the columnar recording the windows index (None for rows)
+        self.recording: Optional[ColumnarRecording] = None
+        self.bounds: Optional[List[int]] = None
+        self.starts: Optional[List[int]] = None
+
+    @classmethod
+    def windows(cls, recording: ColumnarRecording, bounds: List[int],
+                starts: List[int], sizes: List[int], total_cycles: int,
+                frame_id: int) -> "EntryTrace":
+        """A columnar entry: thread ``j`` is events
+        ``[bounds[j], bounds[j + 1])`` starting at cycle ``starts[j]``."""
+        entry = cls.__new__(cls)
+        entry._threads = None
+        entry.total_cycles = total_cycles
+        entry.frame_id = frame_id
+        entry.sizes = sizes
+        entry.recording = recording
+        entry.bounds = bounds
+        entry.starts = starts
+        return entry
+
+    @property
+    def threads(self) -> List[AnyThread]:
+        if self._threads is not None:
+            return self._threads
+        rec, bounds = self.recording, self.bounds
+        return [ThreadView(rec, bounds[j], bounds[j + 1], start, size)
+                for j, (start, size) in enumerate(zip(self.starts,
+                                                      self.sizes))]
 
 
 def local_slot_of(address: int) -> Optional[int]:
@@ -158,8 +202,8 @@ def split_trace(recording, loop_id: int) -> List[EntryTrace]:
 
     Accepts both recording layouts.  A :class:`ColumnarRecording` reads
     only ``loop_id``'s marks through its per-loop index and yields
-    zero-copy :class:`ThreadView` threads; a row recording is walked
-    mark by mark (the reference path).
+    index-only entries (see :class:`EntryTrace`); a row recording is
+    walked mark by mark (the reference path).
     """
     if isinstance(recording, ColumnarRecording):
         marks = _indexed_marks(recording, loop_id)
@@ -237,42 +281,39 @@ def _indexed_marks(recording: ColumnarRecording, loop_id: int
         yield kind, cycles[pos], frame_id
 
 
-def _thread_windows(boundaries: List[int], end: int
-                    ) -> List[Tuple[int, int]]:
-    """Per-thread [start, end) cycle windows of one entry."""
+def _thread_edges(boundaries: List[int], end: int) -> List[int]:
+    """Each thread's start cycle, then the entry's end cycle.  The final
+    ``eoi`` is not an edge: the exit tail after it belongs to the last
+    thread."""
     if len(boundaries) == 1:
-        return [(boundaries[0], end)]
-    windows = [(boundaries[i], boundaries[i + 1])
-               for i in range(len(boundaries) - 1)]
-    windows[-1] = (windows[-1][0], end)
-    return windows
+        return [boundaries[0], end]
+    edges = boundaries[:]
+    edges[-1] = end
+    return edges
 
 
 def _build_entry_rows(context, boundaries: List[int], end: int,
                       frame_id: int) -> EntryTrace:
     mem, cycles = context
-    start = boundaries[0]
+    edges = _thread_edges(boundaries, end)
     threads: List[ThreadTrace] = []
-    for w_start, w_end in _thread_windows(boundaries, end):
+    for w_start, w_end in zip(edges, edges[1:]):
         lo = bisect_left(cycles, w_start)
         hi = bisect_left(cycles, w_end)
         events = [ThreadEvent(mem[i].cycle - w_start, mem[i].kind,
                               mem[i].address)
                   for i in range(lo, hi)]
         threads.append(ThreadTrace(w_end - w_start, events))
-    return EntryTrace(threads, end - start, frame_id)
+    return EntryTrace(threads, end - edges[0], frame_id)
 
 
 def _build_entry_columnar(recording: ColumnarRecording,
                           boundaries: List[int], end: int,
                           frame_id: int) -> EntryTrace:
-    cycles = recording.cycles  # sorted by the interpreter's clock
-    start = boundaries[0]
-    threads: List[ThreadView] = []
-    lo = bisect_left(cycles, start)
-    for w_start, w_end in _thread_windows(boundaries, end):
-        hi = bisect_left(cycles, w_end, lo)
-        threads.append(ThreadView(recording, lo, hi, w_start,
-                                  w_end - w_start))
-        lo = hi
-    return EntryTrace(threads, end - start, frame_id)
+    edges = _thread_edges(boundaries, end)
+    # the cycles column is sorted by the interpreter's clock
+    bounds = list(map(bisect_left, repeat(recording.cycles), edges))
+    starts = edges[:-1]
+    sizes = list(map(sub, edges[1:], starts))
+    return EntryTrace.windows(recording, bounds, starts, sizes,
+                              end - edges[0], frame_id)

@@ -5,6 +5,8 @@ multi-model argmax, and the hydra-tls default."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hydra import HydraConfig
 from repro.jit.speculative import STLCompilation
@@ -156,6 +158,84 @@ class TestLiveInPredictor:
         assert p.consume(100) == "hit"
         assert p.consume(200) == "hit"
         assert p.consume(300) is None
+
+
+class StrideStreakOracle:
+    """The stride/streak state machine the history-based predictor
+    replaced, kept as its oracle: per address ``[last offset, stride,
+    streak, outcome]``; a store is predicted once two consecutive
+    strides agreed, and graded when it arrives."""
+
+    def __init__(self):
+        self.table = {}
+        self.trains = self.predictions = self.hits = 0
+
+    def observe(self, addr, rel):
+        self.trains += 1
+        entry = self.table.get(addr)
+        if entry is None:
+            self.table[addr] = [rel, None, 0, None]
+            return
+        last_rel, stride, streak, _ = entry
+        new_stride = rel - last_rel
+        if stride is None:
+            self.table[addr] = [rel, new_stride, 1, None]
+            return
+        correct = new_stride == stride
+        outcome = None
+        if streak >= 2:
+            self.predictions += 1
+            self.hits += correct
+            outcome = "hit" if correct else "miss"
+        self.table[addr] = ([rel, stride, streak + 1, outcome] if correct
+                            else [rel, new_stride, 1, outcome])
+
+    def consume(self, addr):
+        entry = self.table.get(addr)
+        return None if entry is None else entry[3]
+
+
+#: one predictor step: ("observe", addr, rel) or ("consume", addr, None);
+#: few addresses and small offsets, so equal strides are common
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 3),
+              st.integers(0, 12)),
+    st.tuples(st.just("consume"), st.integers(0, 4), st.none())),
+    max_size=80)
+
+
+class TestPredictorMatchesStateMachine:
+    @settings(max_examples=400, deadline=None)
+    @given(_STEPS)
+    def test_random_interleavings(self, steps):
+        oracle, predictor = StrideStreakOracle(), LiveInPredictor()
+        for op, addr, rel in steps:
+            if op == "observe":
+                oracle.observe(addr, rel)
+                predictor.observe(addr, rel)
+            else:
+                assert predictor.consume(addr) == oracle.consume(addr)
+        assert predictor.trains == oracle.trains
+        assert predictor.predictions == oracle.predictions
+        assert predictor.hits == oracle.hits
+        assert predictor.mispredictions == (oracle.predictions
+                                            - oracle.hits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    def test_strided_runs(self, strides):
+        """Long constant-stride runs with occasional breaks: the
+        pattern the predictor exists for."""
+        oracle, predictor = StrideStreakOracle(), LiveInPredictor()
+        rel = 0
+        for stride in strides:
+            for _ in range(stride % 4 + 1):
+                rel += stride
+                oracle.observe(7, rel)
+                predictor.observe(7, rel)
+                assert predictor.consume(7) == oracle.consume(7)
+        assert (predictor.predictions, predictor.hits) == (
+            oracle.predictions, oracle.hits)
 
 
 # ---------------------------------------------------------------------------

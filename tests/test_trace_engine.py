@@ -109,13 +109,22 @@ class TestRecordingEquivalence:
                 continue
             assert _windows(split_trace(copy, lid)) == want, lid
 
-    def test_loop_index_not_pickled(self, both_layouts):
+    def test_loop_index_shipped_with_pickle(self, both_layouts):
+        """The per-loop mark index rides along in the pickle, so an
+        unpickled recording splits without rebuilding it; a pickle
+        saved without it (None) rebuilds it on first use."""
         table, _, columnar = both_layouts
         fresh = pickle.loads(pickle.dumps(columnar))
-        before = pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL)
-        assert _windowable_loops(table, fresh)  # builds the index
         assert fresh._loop_index is not None
+        before = pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL)
+        assert _windowable_loops(table, fresh)  # reads the index
         assert pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL) == before
+        assert fresh._loop_index == columnar._loop_index
+        legacy = pickle.loads(pickle.dumps(columnar))
+        legacy._loop_index = None
+        for lid in _windowable_loops(table, columnar):
+            assert list(legacy.loop_marks(lid)) == list(
+                columnar.loop_marks(lid)), lid
 
     def test_cycles_column_sorted(self, both_layouts):
         """The invariant zero-copy windowing bisects on."""
@@ -141,6 +150,28 @@ class TestSplitEquivalence:
                 for tr, tv in zip(er.threads, ev.threads):
                     assert tr.size == tv.size
                     assert tr.events == tv.events
+
+    def test_index_windows_match_views_and_rows(self, both_layouts):
+        """A columnar entry's index-only windows (``bounds``, ``starts``,
+        ``sizes``) are exactly its ThreadView windows and the row
+        path's windows: same event ranges, start cycles and sizes."""
+        table, legacy, columnar = both_layouts
+        for lid in _windowable_loops(table, columnar):
+            rows = split_trace(legacy, lid)
+            cols = split_trace(columnar, lid)
+            assert len(rows) == len(cols)
+            for er, ec in zip(rows, cols):
+                bounds, starts, sizes = ec.bounds, ec.starts, ec.sizes
+                assert len(bounds) == len(starts) + 1 == len(sizes) + 1
+                views = ec.threads
+                assert [(v.lo, v.hi, v.start, v.size) for v in views] \
+                    == [(bounds[j], bounds[j + 1], starts[j], sizes[j])
+                        for j in range(len(sizes))]
+                assert sizes == er.sizes == [t.size for t in er.threads]
+                assert [bounds[j + 1] - bounds[j]
+                        for j in range(len(sizes))] \
+                    == [len(t.events) for t in er.threads]
+                assert sum(sizes) == ec.total_cycles == er.total_cycles
 
     def test_views_are_zero_copy(self, both_layouts):
         table, _, columnar = both_layouts
