@@ -205,7 +205,7 @@ _STEPS = st.lists(st.one_of(
 
 
 class TestPredictorMatchesStateMachine:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_STEPS)
     def test_random_interleavings(self, steps):
         oracle, predictor = StrideStreakOracle(), LiveInPredictor()

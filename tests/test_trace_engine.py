@@ -136,6 +136,9 @@ class TestRecordingEquivalence:
 
 class TestSplitEquivalence:
     def test_windows_and_events_identical(self, both_layouts):
+        """Row and columnar splits agree, and a columnar entry's
+        index-only windows (``bounds``, ``starts``, ``sizes``) are
+        exactly its ThreadView windows and the row path's windows."""
         table, legacy, columnar = both_layouts
         loops = _windowable_loops(table, columnar)
         assert loops  # the sources above all have windowable loops
@@ -150,28 +153,16 @@ class TestSplitEquivalence:
                 for tr, tv in zip(er.threads, ev.threads):
                     assert tr.size == tv.size
                     assert tr.events == tv.events
-
-    def test_index_windows_match_views_and_rows(self, both_layouts):
-        """A columnar entry's index-only windows (``bounds``, ``starts``,
-        ``sizes``) are exactly its ThreadView windows and the row
-        path's windows: same event ranges, start cycles and sizes."""
-        table, legacy, columnar = both_layouts
-        for lid in _windowable_loops(table, columnar):
-            rows = split_trace(legacy, lid)
-            cols = split_trace(columnar, lid)
-            assert len(rows) == len(cols)
-            for er, ec in zip(rows, cols):
-                bounds, starts, sizes = ec.bounds, ec.starts, ec.sizes
-                assert len(bounds) == len(starts) + 1 == len(sizes) + 1
-                views = ec.threads
-                assert [(v.lo, v.hi, v.start, v.size) for v in views] \
-                    == [(bounds[j], bounds[j + 1], starts[j], sizes[j])
-                        for j in range(len(sizes))]
-                assert sizes == er.sizes == [t.size for t in er.threads]
-                assert [bounds[j + 1] - bounds[j]
-                        for j in range(len(sizes))] \
-                    == [len(t.events) for t in er.threads]
-                assert sum(sizes) == ec.total_cycles == er.total_cycles
+                bounds, starts, sizes = ev.bounds, ev.starts, ev.sizes
+                assert len(bounds) == len(sizes) + 1 == len(starts) + 1
+                assert [(t.lo, t.hi, t.start, t.size)
+                        for t in ev.threads] == [
+                    (bounds[j], bounds[j + 1], starts[j], sizes[j])
+                    for j in range(len(sizes))]
+                assert sizes == er.sizes
+                assert list(map(len, (t.events for t in er.threads))) \
+                    == [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+                assert sum(sizes) == ev.total_cycles
 
     def test_views_are_zero_copy(self, both_layouts):
         table, _, columnar = both_layouts
