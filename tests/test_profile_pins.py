@@ -5,11 +5,12 @@ device state and the committed columnar recording.
 Each entry holds the SHA-256 of :func:`tests.test_event_stream.device_state`
 (every ``STLStats`` field, the event and marker counters, the timestamp
 table evictions and conflicts, the converged set), the SHA-256 of the
-seven :attr:`ColumnarRecording.COLUMNS`, and the SHA-256 of every loop's
-per-load-PC critical-arc bins (Sec. 6.3).  A change to the event stream,
-the device or the recording that moves any program's profile shows up
-here by name.  Regenerate the fixture only when such a change is
-intended::
+seven :attr:`ColumnarRecording.COLUMNS`, the SHA-256 of every loop's
+per-load-PC critical-arc bins (Sec. 6.3), and the SHA-256 of every
+profiled loop's thread windows as :func:`split_trace` cuts them from the
+recording.  A change to the event stream, the device, the recording or
+the splitter that moves any program's profile shows up here by name.
+Regenerate the fixture only when such a change is intended::
 
     PYTHONPATH=src python -m tests.test_profile_pins
 """
@@ -22,6 +23,7 @@ import pytest
 
 from repro.jrpm import Jrpm
 from repro.runtime.events import ColumnarRecording
+from repro.tls import split_trace
 from repro.workloads import all_workloads
 
 from tests.test_event_stream import device_state
@@ -50,19 +52,41 @@ def arcs_digest(device):
         bins, sort_keys=True).encode()).hexdigest()
 
 
+def windows_digest(splits):
+    """SHA-256 of every loop's ``(total_cycles, frame_id, bounds,
+    starts, sizes)`` entry windows."""
+    windows = {str(lid): [(e.total_cycles, e.frame_id, e.bounds,
+                           e.starts, e.sizes) for e in entries]
+               for lid, entries in sorted(splits.items())}
+    return hashlib.sha256(json.dumps(
+        windows, sort_keys=True).encode()).hexdigest()
+
+
+def split_counts(splits):
+    """``{loop: (entries, threads, cycles, thread cycles)}`` of each
+    loop's split; thread cycles sum every thread's size."""
+    return {lid: (len(entries), sum(len(e.sizes) for e in entries),
+                  sum(e.total_cycles for e in entries),
+                  sum(sum(e.sizes) for e in entries))
+            for lid, entries in splits.items()}
+
+
 def profile_all():
-    """``{workload: (device, {"arcs", "device", "recording"})}`` over
-    the Table 6 programs."""
+    """``{workload: (device, split counts, {"arcs", "device",
+    "recording", "windows"})}`` over the Table 6 programs."""
     out = {}
     for workload in all_workloads():
         report = Jrpm(source=workload.source(),
                       name=workload.name).run(simulate_tls=False)
-        out[workload.name] = (report.device, {
+        splits = {lid: split_trace(report.recording, lid)
+                  for lid in report.device.stats}
+        out[workload.name] = (report.device, split_counts(splits), {
             "arcs": arcs_digest(report.device),
             "device": hashlib.sha256(json.dumps(
                 device_state(report.device),
                 sort_keys=True).encode()).hexdigest(),
             "recording": recording_digest(report.recording),
+            "windows": windows_digest(splits),
         })
     return out
 
@@ -78,14 +102,14 @@ def test_every_profile_matches_pins(profiled):
     assert len(pinned) == 26
     assert sorted(profiled) == sorted(pinned)
     for name, want in pinned.items():
-        assert profiled[name][1] == want, name
+        assert profiled[name][2] == want, name
 
 
 def test_arc_bins_reconcile_with_stats(profiled):
     """Per bin kind, a loop's arc bins add up to its ``STLStats`` arc
     counters, and every bin names a load site."""
     loops = 0
-    for name, (device, _) in profiled.items():
+    for name, (device, _, _) in profiled.items():
         for lid, stats in device.stats.items():
             sums = {"prev": [0, 0], "earlier": [0, 0]}
             for (fn, pc, kind), b in device.profile_for(lid).bins.items():
@@ -100,8 +124,31 @@ def test_arc_bins_reconcile_with_stats(profiled):
     assert loops == 194
 
 
+def test_split_reconciles_with_device(profiled):
+    """The splitter and the TEST device window the same ``sloop``/
+    ``eoi``/``eloop`` markers independently: per loop, the split's entry
+    count equals ``STLStats.entries``, its summed ``total_cycles`` and
+    summed thread sizes both equal ``STLStats.cycles``, and its thread
+    count equals ``STLStats.threads``.  A
+    converged loop's unbanked entries count no thread when they run no
+    iteration, so there the split may count more threads, never
+    fewer."""
+    loops = 0
+    for name, (device, counts, _) in profiled.items():
+        for lid, stats in device.stats.items():
+            entries, threads, cycles, thread_cycles = counts[lid]
+            assert (entries, cycles, thread_cycles) == (
+                stats.entries, stats.cycles, stats.cycles), (name, lid)
+            if lid in device.converged:
+                assert threads >= stats.threads, (name, lid)
+            else:
+                assert threads == stats.threads, (name, lid)
+            loops += 1
+    assert loops == 194
+
+
 if __name__ == "__main__":
-    pins = {name: entry for name, (_, entry) in profile_all().items()}
+    pins = {name: entry for name, (_, _, entry) in profile_all().items()}
     with open(PINS_PATH, "w") as fh:
         json.dump(pins, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,13 +1,14 @@
-"""Per-loop replay pins: every selected loop of four Table 6 programs and
+"""Per-loop replay pins: every selected loop of five Table 6 programs and
 the two test-suite nests, replayed under both speculative models, must
 reproduce the committed ``vars()`` of its result exactly.
 
 The fixture covers TLS violations (deltaBlue, BitOps), TLS buffer
 overflows (BitOps under the small configuration), DOACROSS live-in
 mispredictions (compress), and the Section 6.3 ``synchronize_heap``
-branch of both models.  db and the two nests are the sources the
-row-versus-engine tests in ``test_trace_engine.py`` replay.  Regenerate
-the fixture only when a change to simulated numbers is intended::
+branch of both models.  db and the two nests are the sources
+``test_trace_engine.py`` replays; Huffman's decode loops load through
+an index they overwrite (``t = a[t]``).  Regenerate the fixture only
+when a change to simulated numbers is intended::
 
     PYTHONPATH=src python -m tests.test_replay_pins
 """
@@ -28,7 +29,7 @@ from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), "replay_pins.json")
 
-WORKLOADS = ("compress", "deltaBlue", "BitOps", "db")
+WORKLOADS = ("compress", "deltaBlue", "BitOps", "db", "Huffman")
 #: inline sources, keyed by the row tests' parameter ids
 SOURCES = {"nest": NEST_SOURCE, "huffman-nest": HUFFMAN_SOURCE}
 MODELS = ("hydra-tls", "doacross")
