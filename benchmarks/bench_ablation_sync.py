@@ -8,7 +8,7 @@ with synchronization enabled and compares violation counts and times.
 
 from repro.cfg import find_candidates
 from repro.jit import annotate_program, compile_stl
-from repro.runtime import RecordingListener, run_program
+from repro.runtime import ColumnarRecording, run_program
 from repro.tls import simulate_stl, split_trace
 from repro.workloads import get_workload
 
@@ -21,13 +21,13 @@ def violating_stl(name):
     program = w.compile()
     table = find_candidates(program)
     ann = annotate_program(program, table)
-    rec = RecordingListener()
+    rec = ColumnarRecording()
     run_program(ann.program, listener=rec)
 
     worst = None
     for cand in table.candidates():
         entries = split_trace(rec, cand.loop_id)
-        if not entries or sum(len(e.threads) for e in entries) < 8:
+        if not entries or sum(len(e.sizes) for e in entries) < 8:
             continue
         res = simulate_stl(compile_stl(cand), entries)
         if worst is None or res.violations > worst[2].violations:

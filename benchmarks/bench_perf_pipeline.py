@@ -14,12 +14,11 @@ Three modes are timed and written to ``BENCH_pipeline.json``:
   host the pool only adds overhead, and the JSON records that
   honestly);
 * ``analysis_sweep`` — the Figure 11 predicted-vs-actual replay under
-  a 6-configuration Hydra sweep over one recorded trace: the legacy
-  row-of-tuples path (per-call window rebuild) vs. the columnar
-  :class:`~repro.tls.engine.TraceEngine`, both measured in-run so the
-  comparison is host-fair.  The engine's per-phase seconds and split
-  hit/miss counters are recorded alongside, as are trace-JIT on/off
-  rows for the traced recording run that feeds it;
+  a 6-configuration Hydra sweep over one recorded trace, through the
+  columnar :class:`~repro.tls.engine.TraceEngine`.  The engine's
+  per-phase seconds and split hit/miss counters are recorded
+  alongside, as are trace-JIT on/off rows for the traced recording
+  run that feeds it;
 * ``trace_jit`` — the full Huffman pipeline with the trace JIT on vs.
   off, interleaved best-of-N on the same host, plus the trace-cache
   counters (recordings, aborts, linked/blacklisted traces, invocation
@@ -59,11 +58,7 @@ from repro.jit.annotate import AnnotationLevel, annotate_program
 from repro.jit.speculative import compile_stl
 from repro.jrpm import ArtifactCache, Jrpm, run_fleet
 from repro.lang.codegen import compile_source
-from repro.runtime.events import (
-    ColumnarRecording,
-    MulticastListener,
-    RecordingListener,
-)
+from repro.runtime.events import ColumnarRecording
 from repro.runtime.interpreter import run_program
 from repro.tls import TraceEngine, simulate_stl, split_trace
 from repro.workloads import all_workloads, get_workload
@@ -246,8 +241,8 @@ def _time_sweep(cache) -> float:
 
 
 def _time_analysis_sweep() -> Dict:
-    """Figure 11 replay under ``ANALYSIS_SWEEP``, legacy rows vs. the
-    columnar trace engine, over one shared recorded trace."""
+    """Figure 11 replay under ``ANALYSIS_SWEEP`` through the columnar
+    trace engine, over one recorded trace."""
     w = get_workload("Huffman")
     # the sweep replays what Figure 11 replays: the pipeline-selected
     # STLs (a full profiled run decides those)
@@ -259,23 +254,17 @@ def _time_analysis_sweep() -> Dict:
     candidates = find_candidates(program)
     annotated = annotate_program(
         program, candidates, AnnotationLevel.OPTIMIZED)
-    # one traced run records the same execution into both layouts, so
-    # the comparison below isolates the analysis side entirely.  The
-    # recording run is timed with the trace JIT off and on (identical
-    # listener work on both sides; superblocks must publish the
-    # identical event stream) and the JIT-on recordings feed the sweep
-    legacy = RecordingListener()
+    # the recording run is timed with the trace JIT off and on
+    # (identical listener work on both sides; superblocks must publish
+    # the identical event stream) and the JIT-on recording feeds the
+    # sweep
     columnar = ColumnarRecording()
     start = time.perf_counter()
-    run_program(annotated.program,
-                listener=MulticastListener([RecordingListener(),
-                                            ColumnarRecording()]),
+    run_program(annotated.program, listener=ColumnarRecording(),
                 trace_jit=False)
     record_off_s = time.perf_counter() - start
     start = time.perf_counter()
-    run_program(annotated.program,
-                listener=MulticastListener([legacy, columnar]),
-                trace_jit=True)
+    run_program(annotated.program, listener=columnar, trace_jit=True)
     record_on_s = time.perf_counter() - start
 
     # ...restricted to the loops this trace can be windowed on
@@ -287,19 +276,8 @@ def _time_analysis_sweep() -> Dict:
         except SimulationError:
             continue
 
-    # before: the pre-change row path — every (config, loop) pair
-    # rebuilds the cycle index and windows, reclassifies every event,
-    # and recomputes overflow points from scratch
-    start = time.perf_counter()
-    for config in ANALYSIS_SWEEP:
-        for lid in loops:
-            legacy._cycle_index = None
-            comp = compile_stl(candidates.by_id[lid], config)
-            simulate_stl(comp, split_trace(legacy, lid), config)
-    rows_s = time.perf_counter() - start
-
-    # after: the columnar engine — splits are built once per loop and
-    # each thread replays in one fused pass over its column window
+    # splits are built once per loop and each thread replays in one
+    # fused pass over its column window
     engine = TraceEngine(columnar)
     start = time.perf_counter()
     for config in ANALYSIS_SWEEP:
@@ -315,9 +293,7 @@ def _time_analysis_sweep() -> Dict:
         "record_off_s": round(record_off_s, 3),
         "record_on_s": round(record_on_s, 3),
         "record_speedup": round(record_off_s / record_on_s, 2),
-        "legacy_rows_s": round(rows_s, 3),
         "engine_s": round(engine_s, 3),
-        "speedup": round(rows_s / engine_s, 2),
         "engine_stats": engine.stats.snapshot(),
     }
 
@@ -364,14 +340,12 @@ def run_benchmark(quick: bool = False) -> Dict:
             "cached_sweep_s": round(sweep_cached, 3),
             "parallel_fleet_serial_s": round(serial, 3),
             "parallel_fleet_s": round(with_pool, 3),
-            "analysis_sweep_rows_s": analysis["legacy_rows_s"],
             "analysis_sweep_s": analysis["engine_s"],
         },
         "analysis": analysis,
         "trace_jit": trace_jit,
         "optimize": optimize,
         "speedup": {
-            "analysis_sweep": analysis["speedup"],
             "trace_jit_single_run": trace_jit["speedup"],
             "trace_jit_record": analysis["record_speedup"],
             "optimize_single_run": optimize["speedup"],
@@ -403,11 +377,6 @@ def test_perf_pipeline_quick(capsys):
     # the warm sweep only unpickles artifacts: it must beat the cold
     # sweep comfortably even on a noisy shared host
     assert results["speedup"]["cached_sweep_vs_cold"] > 2.0
-    # the columnar engine replays each thread in one fused pass over
-    # zero-copy windows split once per loop: both paths are timed in
-    # the same process on the same trace, so the ratio is
-    # host-independent (issue target: >= 3x)
-    assert results["speedup"]["analysis_sweep"] > 3.0
     # the superblock path must never be slower than plain dispatch on
     # Huffman — both flags run the identical pipeline in-process, so
     # this ratio is host-independent too

@@ -8,10 +8,7 @@ from repro.runtime.costs import DEFAULT_COSTS, CostModel
 from repro.runtime.events import (
     LOCAL_ADDRESS_BASE,
     ColumnarRecording,
-    LoopMark,
-    MemEvent,
     MulticastListener,
-    RecordingListener,
     TraceListener,
     local_address,
 )
@@ -27,10 +24,7 @@ __all__ = [
     "Interpreter",
     "LINE_SIZE",
     "LOCAL_ADDRESS_BASE",
-    "LoopMark",
-    "MemEvent",
     "MulticastListener",
-    "RecordingListener",
     "RunResult",
     "TraceJIT",
     "TraceJITError",

@@ -17,15 +17,14 @@ one synthetic :func:`local_address`.
 from __future__ import annotations
 
 from array import array
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Optional, Sequence, Tuple
 
 
 class TraceListener:
     """Base listener; every callback defaults to a no-op.
 
     Subclasses: the TEST device (:class:`repro.tracer.device.TestDevice`),
-    the software-only profiler, and the recording listener below.
+    the software-only profiler, and the columnar recording below.
     """
 
     def on_load(self, address: int, cycle: int,
@@ -129,22 +128,6 @@ class TraceListener:
                 self.on_readstats(a, cycle)
 
 
-class MemEvent(NamedTuple):
-    """One recorded memory/local event, for trace-driven TLS simulation."""
-
-    cycle: int
-    kind: str          # 'ld', 'st', 'lld', 'lst'
-    address: int       # byte address; locals use a synthetic space
-
-
-class LoopMark(NamedTuple):
-    """One recorded loop marker."""
-
-    cycle: int
-    kind: str          # 'sloop', 'eoi', 'eloop'
-    loop_id: int
-
-
 #: Synthetic address space for local variables: far above any heap
 #: address, one "word" per (frame, slot).
 LOCAL_ADDRESS_BASE = 1 << 40
@@ -163,44 +146,8 @@ def local_slot(address: int) -> Tuple[int, int]:
     return off >> 16, (off & 0xFFFF) >> 2
 
 
-class RecordingListener(TraceListener):
-    """Records the full event stream as rows, for the reference trace
-    splitter (:mod:`repro.tls.thread_trace`) and for tests."""
-
-    def __init__(self):
-        self.mem: List[MemEvent] = []
-        self.marks: List[LoopMark] = []
-        #: frame id of each recorded sloop mark, in order
-        self.sloop_frames: List[int] = []
-
-    def on_load(self, address, cycle, fn="", pc=-1):
-        self.mem.append(MemEvent(cycle, "ld", address))
-
-    def on_store(self, address, cycle, fn="", pc=-1):
-        self.mem.append(MemEvent(cycle, "st", address))
-
-    def on_local_load(self, frame_id, slot, cycle, fn="", pc=-1):
-        self.mem.append(
-            MemEvent(cycle, "lld", local_address(frame_id, slot)))
-
-    def on_local_store(self, frame_id, slot, cycle, fn="", pc=-1):
-        self.mem.append(
-            MemEvent(cycle, "lst", local_address(frame_id, slot)))
-
-    def on_sloop(self, loop_id, n_locals, cycle, frame_id=-1):
-        self.marks.append(LoopMark(cycle, "sloop", loop_id))
-        self.sloop_frames.append(frame_id)
-
-    def on_eoi(self, loop_id: int, cycle: int) -> None:
-        self.marks.append(LoopMark(cycle, "eoi", loop_id))
-
-    def on_eloop(self, loop_id: int, cycle: int) -> None:
-        self.marks.append(LoopMark(cycle, "eloop", loop_id))
-
-
 #: integer kind codes of the columnar trace layout (one byte per event)
 KIND_LD, KIND_ST, KIND_LLD, KIND_LST = 0, 1, 2, 3
-KIND_NAMES = ("ld", "st", "lld", "lst")
 
 #: batch entry codes (see :meth:`TraceListener.on_mem_batch`): the
 #: memory codes are the recording's kind codes, the markers sort above
@@ -209,15 +156,14 @@ EV_SLOOP, EV_EOI, EV_READSTATS = 4, 5, 6
 
 #: integer kind codes of the columnar mark layout (one byte per mark)
 MARK_SLOOP, MARK_EOI, MARK_ELOOP = 0, 1, 2
-MARK_NAMES = ("sloop", "eoi", "eloop")
 
 
 class ColumnarRecording(TraceListener):
-    """Structure-of-arrays recording of the full event stream.
+    """Structure-of-arrays recording of the full event stream, the one
+    trace layout the TLS replay reads.
 
-    Instead of one :class:`MemEvent` tuple per access, events land in
-    three parallel flat columns fed directly from the interpreter's
-    batched delivery:
+    Events land in three parallel flat columns fed directly from the
+    interpreter's batched delivery:
 
     * ``kinds`` — one byte per event (:data:`KIND_LD` .. ``KIND_LST``);
     * ``cycles`` — ``array('q')`` of completion timestamps;
@@ -231,9 +177,9 @@ class ColumnarRecording(TraceListener):
 
     Loop marks are columns too, because they are not rare: the 26
     Table 6 programs record 320,231 marks against ~1.69M events, about
-    1:5.  Stored as :class:`LoopMark` rows they made unpickling those
-    26 profile artifacts take ~0.5 s; as columns it takes ~0.035 s
-    (both on a shared 2-CPU x86-64 host).
+    1:5.  Stored as one tuple per mark they made unpickling those 26
+    profile artifacts take ~0.5 s; as columns it takes ~0.035 s (both
+    on a shared 2-CPU x86-64 host).
 
     The mark columns:
 
@@ -250,7 +196,6 @@ class ColumnarRecording(TraceListener):
     index is pickled with the columns: a cached profile's recording
     splits without rebuilding it, and a pickle saved without it
     rebuilds it on first use.
-    ``marks`` materializes the row view (tests / debugging only).
     """
 
     #: the seven columns, event columns first
@@ -277,21 +222,6 @@ class ColumnarRecording(TraceListener):
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def events(self) -> Iterator[MemEvent]:
-        """Row view of the columns (tests / debugging; not a hot path)."""
-        names = KIND_NAMES
-        for i in range(len(self.kinds)):
-            yield MemEvent(self.cycles[i], names[self.kinds[i]],
-                           self.addresses[i])
-
-    @property
-    def marks(self) -> List[LoopMark]:
-        """Row view of the mark columns (tests / debugging only)."""
-        names = MARK_NAMES
-        return [LoopMark(cycle, names[kind], loop_id)
-                for kind, cycle, loop_id in zip(
-                    self.mark_kinds, self.mark_cycles, self.mark_loops)]
 
     def loop_marks(self, loop_id: int) -> Sequence[int]:
         """Positions in the mark columns of ``loop_id``'s marks, in

@@ -10,29 +10,16 @@ from repro.tls.simulator import (
     simulate_stl,
 )
 from repro.tls.stats import ProgramTLSOutcome
-from repro.tls.thread_trace import (
-    EntryTrace,
-    ThreadEvent,
-    ThreadTrace,
-    ThreadView,
-    local_frame_of,
-    local_slot_of,
-    split_trace,
-)
+from repro.tls.thread_trace import EntryTrace, split_trace
 
 __all__ = [
     "EntryResult",
     "EntryTrace",
     "ProgramTLSOutcome",
     "TLSResult",
-    "ThreadEvent",
-    "ThreadTrace",
-    "ThreadView",
     "TraceEngine",
     "TraceEngineStats",
     "TraceSimulator",
-    "local_frame_of",
-    "local_slot_of",
     "simulate_stl",
     "split_trace",
 ]

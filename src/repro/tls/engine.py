@@ -2,8 +2,9 @@
 observability.
 
 One :class:`TraceEngine` wraps one
-:class:`~repro.runtime.events.ColumnarRecording` and serves every model
-replay the back half of the Jrpm pipeline runs against it:
+:class:`~repro.runtime.events.ColumnarRecording`, the only trace layout,
+and serves every model replay the back half of the Jrpm pipeline runs
+against it:
 
 * ``split(loop_id)`` — index-only thread windowing, computed once per
   loop and shared by every model that replays it (the shared cycle
@@ -26,7 +27,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List
 
-from repro.errors import SimulationError
 from repro.runtime.events import ColumnarRecording
 from repro.tls.thread_trace import EntryTrace, split_trace
 
@@ -83,10 +83,6 @@ class TraceEngine:
     """Memoized thread windows over one columnar recording."""
 
     def __init__(self, recording: ColumnarRecording):
-        if not isinstance(recording, ColumnarRecording):
-            raise SimulationError(
-                "TraceEngine requires a ColumnarRecording; got %s"
-                % type(recording).__name__)
         self.recording = recording
         self.stats = TraceEngineStats()
         self._splits: Dict[int, List[EntryTrace]] = {}

@@ -1,7 +1,8 @@
 """Trace-driven speculative-execution simulator for Hydra (the "Actual"
 series of Figure 11).
 
-Given the thread traces of one selected STL and its speculative
+Given the thread windows of one selected STL (split from the columnar
+recording, see :mod:`repro.tls.thread_trace`) and its speculative
 compilation summary, :class:`TraceSimulator` schedules the threads over
 the CMP's ``p`` CPUs.  Both speculative models replay through its one
 per-entry loop:
@@ -51,10 +52,10 @@ other-frame locals dropped, loads covered by the thread's own store
 forwarded), checked against the Table 1 speculative buffers, and
 resolved against the latest visible store of its address; only the
 thread's kept stores are buffered, to be published once its start time
-is known.  A columnar entry's windows are index lists (event bounds,
-start cycles, sizes), so no per-thread object is built; row-layout
-threads feed the same loop through a ``(kind code, address, rel)``
-adapter.
+is known.  An entry's windows are index lists (event bounds, start
+cycles, sizes) and contiguous, so the three event columns are sliced
+once per entry and each thread consumes its share of one ``zip``; no
+per-thread object is built.
 
 The first overflow is found by counting distinct lines per load-buffer
 set and distinct store-buffer lines.  That is exact for the LRU
@@ -78,7 +79,6 @@ from repro.runtime.events import (
     KIND_LD,
     KIND_LLD,
     KIND_LST,
-    KIND_NAMES,
     KIND_ST,
     local_address,
 )
@@ -224,34 +224,6 @@ class DoacrossResult(TLSResult):
                    self.predicted_hits, self.predictions))
 
 
-#: kind name -> kind code, for row-layout threads
-_KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
-
-
-def _entry_events(entry: EntryTrace) -> tuple:
-    """One ``(kind code, address, cycle)`` stream over every event of an
-    entry, plus each thread's ``(event count, window start, size)``.
-
-    A columnar entry's windows are contiguous, so the three columns are
-    sliced once and each thread consumes its share of one ``zip``.
-    Row-layout threads go through an adapter: their events are already
-    thread-relative, so their window starts at 0.
-    """
-    rec = entry.recording
-    if rec is not None:
-        bounds = entry.bounds
-        lo, hi = bounds[0], bounds[-1]
-        return (zip(rec.kinds[lo:hi], rec.addresses[lo:hi],
-                    rec.cycles[lo:hi]),
-                zip(map(sub, bounds[1:], bounds), entry.starts,
-                    entry.sizes))
-    codes = _KIND_CODES
-    threads = entry.threads
-    return (iter([(codes[kind], addr, rel)
-                  for t in threads for rel, kind, addr in t.events]),
-            [(len(t.events), 0, t.size) for t in threads])
-
-
 class TraceSimulator:
     """Replays one STL's thread traces on the CMP under one dependence
     policy (see the module docstring).
@@ -310,7 +282,14 @@ class TraceSimulator:
             result.add(EntryResult(0, entry.total_cycles, 0, 0, 0))
             return
 
-        events, windows = _entry_events(entry)
+        # one stream over the entry's events; thread j takes the next
+        # bounds[j + 1] - bounds[j] of them
+        rec, bounds = entry.recording, entry.bounds
+        lo, hi = bounds[0], bounds[-1]
+        events = zip(rec.kinds[lo:hi], rec.addresses[lo:hi],
+                     rec.cycles[lo:hi])
+        windows = zip(map(sub, bounds[1:], bounds), entry.starts,
+                      entry.sizes)
         # the entry frame's locals, minus the eliminated slots; every
         # other frame's locals are a callee's (frame ids are unique per
         # activation), so they never carry a cross-thread arc

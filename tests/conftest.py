@@ -10,6 +10,8 @@ import pytest
 from repro.conformance.campaign import DEFAULT_FUZZ_SEED
 from repro.jrpm import Jrpm
 from repro.lang import compile_source
+from repro.runtime.events import ColumnarRecording, local_slot
+from repro.tls import split_trace
 
 HERE = os.path.dirname(__file__)
 
@@ -128,6 +130,41 @@ func main() {
   return out_p;
 }
 """
+
+
+def columnar_entry(threads, frame_id=0):
+    """One split entry from ``(size, [(rel, kind, addr)])`` tuples.
+
+    A :class:`ColumnarRecording` is driven through its listener
+    callbacks (``kind`` is ``"ld"``, ``"st"``, ``"lld"`` or ``"lst"``;
+    a local's ``addr`` is its ``local_address``), with an ``eoi`` after
+    each thread and the ``eloop`` on the last one, and
+    :func:`split_trace` cuts the entry back out.  Each thread's events
+    must be in cycle order, inside ``[0, size)``.
+    """
+    rec = ColumnarRecording()
+    rec.on_sloop(0, 0, 0, frame_id)
+    start = 0
+    for size, events in threads:
+        last = 0
+        for rel, kind, addr in events:
+            assert last <= rel < size, (rel, size)
+            last = rel
+            cycle = start + rel
+            if kind == "ld":
+                rec.on_load(addr, cycle)
+            elif kind == "st":
+                rec.on_store(addr, cycle)
+            elif kind == "lld":
+                rec.on_local_load(*local_slot(addr), cycle)
+            else:
+                assert kind == "lst", kind
+                rec.on_local_store(*local_slot(addr), cycle)
+        start += size
+        rec.on_eoi(0, start)
+    rec.on_eloop(0, start)
+    [entry] = split_trace(rec, 0)
+    return entry
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,13 @@ from repro.bytecode import Op, verify_program
 from repro.cfg import find_candidates
 from repro.jit import AnnotationLevel, annotate_program, compile_stl
 from repro.lang import compile_source
-from repro.runtime import RecordingListener, run_program
+from repro.runtime import run_program
+from repro.runtime.events import (
+    KIND_LLD,
+    KIND_LST,
+    ColumnarRecording,
+    TraceListener,
+)
 
 from tests.conftest import NEST_SOURCE
 
@@ -19,39 +25,48 @@ def annotate(source, level=AnnotationLevel.OPTIMIZED, loops=None):
     return program, table, annotate_program(program, table, level, loops)
 
 
-def mark_counter(annotated):
-    rec = RecordingListener()
+#: mark kind code -> name (the recording's ``MARK_*`` order)
+MARK_KINDS = ("sloop", "eoi", "eloop")
+
+
+def marks_of(annotated):
+    """``(kind name, loop id)`` of every mark of one run, in order."""
+    rec = ColumnarRecording()
     run_program(annotated.program, listener=rec)
-    return Counter((m.kind, m.loop_id) for m in rec.marks), rec
+    return [(MARK_KINDS[kind], lid)
+            for kind, lid in zip(rec.mark_kinds, rec.mark_loops)]
+
+
+def mark_counter(annotated):
+    return Counter(marks_of(annotated))
 
 
 class TestMarkers:
     def test_balanced_sloop_eloop(self):
         _, _, ann = annotate(NEST_SOURCE)
-        counts, _ = mark_counter(ann)
+        counts = mark_counter(ann)
         loops = {lid for _, lid in counts}
         for lid in loops:
             assert counts[("sloop", lid)] == counts[("eloop", lid)]
 
     def test_eoi_counts_match_iterations(self):
         _, _, ann = annotate(NEST_SOURCE)
-        counts, _ = mark_counter(ann)
+        counts = mark_counter(ann)
         # outer loop: 8 iterations; inner: 8 entries x 8; sum loop: 64
         eois = sorted(v for (k, _), v in counts.items() if k == "eoi")
         assert eois == [8, 64, 64]
 
     def test_nesting_well_formed(self):
         _, _, ann = annotate(NEST_SOURCE)
-        _, rec = mark_counter(ann)
         stack = []
-        for mark in rec.marks:
-            if mark.kind == "sloop":
-                stack.append(mark.loop_id)
-            elif mark.kind == "eloop":
-                assert stack and stack[-1] == mark.loop_id
+        for kind, lid in marks_of(ann):
+            if kind == "sloop":
+                stack.append(lid)
+            elif kind == "eloop":
+                assert stack and stack[-1] == lid
                 stack.pop()
-            elif mark.kind == "eoi":
-                assert stack and stack[-1] == mark.loop_id
+            elif kind == "eoi":
+                assert stack and stack[-1] == lid
         assert stack == []
 
     def test_semantics_preserved(self):
@@ -65,7 +80,7 @@ class TestMarkers:
 
     def test_loop_subset_annotation(self):
         _, table, ann = annotate(NEST_SOURCE, loops=[0])
-        counts, _ = mark_counter(ann)
+        counts = mark_counter(ann)
         loops_seen = {lid for _, lid in counts}
         assert loops_seen == {0}
 
@@ -78,7 +93,7 @@ class TestMarkers:
                "var p = 0; while (p < 8) { p = a[p % 4]; } return p; }")
         _, table, ann = annotate(src)
         assert ann.annotated_loops == {}
-        counts, _ = mark_counter(ann)
+        counts = mark_counter(ann)
         assert not counts
 
     def test_loop_at_function_entry_gets_synthetic_preheader(self):
@@ -90,7 +105,7 @@ class TestMarkers:
         func main() { return spin(5); }
         """
         _, _, ann = annotate(src)
-        counts, _ = mark_counter(ann)
+        counts = mark_counter(ann)
         assert sum(v for (k, _), v in counts.items() if k == "sloop") == 1
 
     def test_return_inside_loop_closes_it(self):
@@ -109,7 +124,7 @@ class TestMarkers:
         """
         program, _, ann = annotate(src)
         assert run_program(ann.program).return_value == 5
-        counts, _ = mark_counter(ann)
+        counts = mark_counter(ann)
         for (kind, lid), n in counts.items():
             if kind == "sloop":
                 assert counts[("eloop", lid)] == n
@@ -121,11 +136,9 @@ class TestLocalsAnnotations:
         _, _, opt = annotate(NEST_SOURCE, AnnotationLevel.OPTIMIZED)
 
         def lwl_executed(ann):
-            class Count(RecordingListener):
-                pass
-            rec = Count()
+            rec = ColumnarRecording()
             run_program(ann.program, listener=rec)
-            return sum(1 for e in rec.mem if e.kind == "lld")
+            return rec.kinds.count(KIND_LLD)
 
         assert lwl_executed(base) > lwl_executed(opt)
 
@@ -135,9 +148,9 @@ class TestLocalsAnnotations:
         _, _, opt = annotate(NEST_SOURCE, AnnotationLevel.OPTIMIZED)
 
         def swl_executed(ann):
-            rec = RecordingListener()
+            rec = ColumnarRecording()
             run_program(ann.program, listener=rec)
-            return sum(1 for e in rec.mem if e.kind == "lst")
+            return rec.kinds.count(KIND_LST)
 
         assert swl_executed(base) == swl_executed(opt)
 
@@ -157,9 +170,8 @@ class TestReadstatsHoisting:
         _, _, base = annotate(NEST_SOURCE, AnnotationLevel.BASE)
         _, _, opt = annotate(NEST_SOURCE, AnnotationLevel.OPTIMIZED)
 
-        class ReadCount(RecordingListener):
+        class ReadCount(TraceListener):
             def __init__(self):
-                super().__init__()
                 self.reads = 0
 
             def on_readstats(self, loop_id, cycle):

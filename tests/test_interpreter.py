@@ -8,15 +8,16 @@ from repro.bytecode import BinOp, Op, UnOp
 from repro.errors import ExecutionError, HeapError
 from repro.lang import compile_source
 from repro.runtime import (
+    ColumnarRecording,
     CostModel,
     Heap,
     LINE_SIZE,
-    RecordingListener,
     TraceListener,
     WORD_SIZE,
     line_of,
     run_program,
 )
+from repro.runtime.events import KIND_LD, KIND_ST
 from repro.runtime.values import apply_binop, apply_unop, java_div, java_mod
 
 
@@ -254,11 +255,10 @@ class TestInterpreter:
     def test_listener_sees_heap_events_in_order(self):
         src = "func main() { var a = array(2); a[0] = 1; a[1] = 2; " \
               "return a[0] + a[1]; }"
-        rec = RecordingListener()
+        rec = ColumnarRecording()
         run_program(compile_source(src), listener=rec)
-        kinds = [e.kind for e in rec.mem]
-        assert kinds == ["st", "st", "ld", "ld"]
-        cycles = [e.cycle for e in rec.mem]
+        assert list(rec.kinds) == [KIND_ST, KIND_ST, KIND_LD, KIND_LD]
+        cycles = list(rec.cycles)
         assert cycles == sorted(cycles)
 
     @pytest.mark.parametrize("trace_jit", [False, True],
@@ -271,11 +271,12 @@ class TestInterpreter:
               "for (var i = 0; i < 8; i = i + 1) { a[i] = (i + 3) % 8; } " \
               "var t = 0; for (var k = 0; k < 40; k = k + 1) " \
               "{ t = a[t]; } return t; }"
-        rec = RecordingListener()
+        rec = ColumnarRecording()
         res = run_program(compile_source(src), listener=rec,
                           trace_jit=trace_jit)
         (handle,) = res.heap.snapshot()
-        loads = [e.address for e in rec.mem if e.kind == "ld"]
+        loads = [address for kind, address in zip(rec.kinds, rec.addresses)
+                 if kind == KIND_LD]
         want, t = [], 0
         for _ in range(40):
             want.append(handle + WORD_SIZE * t)
@@ -311,15 +312,15 @@ class TestDispatchPaths:
     def test_fast_and_traced_paths_agree(self):
         program = compile_source(self.MEMORY_HEAVY)
         fast = run_program(program)
-        rec = RecordingListener()
+        rec = ColumnarRecording()
         traced = run_program(program, listener=rec)
         assert fast.return_value == traced.return_value
         assert fast.cycles == traced.cycles
         assert fast.instructions == traced.instructions
         assert fast.heap.snapshot() == traced.heap.snapshot()
         # enough events to cross several flush boundaries, in cycle order
-        assert len(rec.mem) > 2048
-        cycles = [e.cycle for e in rec.mem]
+        assert len(rec) > 2048
+        cycles = list(rec.cycles)
         assert cycles == sorted(cycles)
 
     def test_errors_agree_across_paths(self):
@@ -329,17 +330,17 @@ class TestDispatchPaths:
         with pytest.raises(ExecutionError) as fast_exc:
             run_program(program)
         with pytest.raises(ExecutionError) as traced_exc:
-            run_program(program, listener=RecordingListener())
+            run_program(program, listener=ColumnarRecording())
         assert str(fast_exc.value) == str(traced_exc.value)
         assert "main" in str(fast_exc.value)
 
     def test_events_before_error_are_flushed(self):
         src = "func main() { var a = array(4); a[0] = 7; a[9] = 1; " \
               "return 0; }"
-        rec = RecordingListener()
+        rec = ColumnarRecording()
         with pytest.raises(ExecutionError):
             run_program(compile_source(src), listener=rec)
-        assert [e.kind for e in rec.mem] == ["st"]
+        assert list(rec.kinds) == [KIND_ST]
 
     @pytest.mark.parametrize("trace_jit", [False, True],
                              ids=["jit-off", "jit-on"])

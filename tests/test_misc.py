@@ -8,8 +8,8 @@ from repro import errors
 from repro.bytecode import Instr, Op
 from repro.lang import compile_source
 from repro.runtime import (
+    ColumnarRecording,
     MulticastListener,
-    RecordingListener,
     run_program,
 )
 from repro.runtime.interpreter import Interpreter
@@ -40,7 +40,7 @@ class TestErrors:
 
 class TestMulticast:
     def test_all_events_fan_out(self):
-        a, b = RecordingListener(), RecordingListener()
+        a, b = ColumnarRecording(), ColumnarRecording()
         multi = MulticastListener([a, b])
         src = """
         func main() {
@@ -56,10 +56,9 @@ class TestMulticast:
         program = compile_source(src)
         ann = annotate_program(program, find_candidates(program))
         run_program(ann.program, listener=multi)
-        assert a.mem == b.mem
-        assert a.marks == b.marks
-        assert a.sloop_frames == b.sloop_frames
-        assert a.mem and a.marks
+        for column in ColumnarRecording.COLUMNS:
+            assert getattr(a, column) == getattr(b, column), column
+        assert len(a) and len(a.mark_kinds)
 
 
 class TestProfilingRuntime:

@@ -27,7 +27,8 @@ from repro.models.doacross import (
 )
 from repro.tls.predictor import LiveInPredictor
 from repro.runtime.events import local_address
-from repro.tls import EntryTrace, ThreadEvent, ThreadTrace
+
+from tests.conftest import columnar_entry as entry
 
 CONFIG = HydraConfig()
 
@@ -49,14 +50,6 @@ def dummy_compilation(config=None):
             carried = []
 
     return STLCompilation(_Cand(), config or CONFIG)
-
-
-def entry(threads):
-    """EntryTrace from (size, [(rel, kind, addr)]) tuples."""
-    tts = [ThreadTrace(size, [ThreadEvent(*e) for e in events])
-           for size, events in threads]
-    total = sum(t.size for t in tts)
-    return EntryTrace(tts, total, frame_id=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +306,8 @@ class TestDoacrossSimulator:
 
     def test_deterministic(self):
         comp = dummy_compilation()
-        threads = [(50, [(1, "lld", LOCAL), (40, "lst", LOCAL),
-                         (10, "ld", 4096), (45, "st", 4096)])
+        threads = [(50, [(1, "lld", LOCAL), (10, "ld", 4096),
+                         (40, "lst", LOCAL), (45, "st", 4096)])
                    for _ in range(8)]
         entries = [entry(threads), entry(threads[:3])]
         a = simulate_doacross(comp, entries, CONFIG)

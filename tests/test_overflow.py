@@ -13,15 +13,10 @@ from hypothesis import strategies as st
 
 from repro.hydra import FullyAssocBuffer, HydraConfig, SetAssocCache
 from repro.jit.speculative import STLCompilation
-from repro.runtime.events import ColumnarRecording
 from repro.runtime.heap import LINE_SIZE
-from repro.tls import (
-    EntryTrace,
-    ThreadEvent,
-    ThreadTrace,
-    TraceSimulator,
-    split_trace,
-)
+from repro.tls import TraceSimulator
+
+from tests.conftest import columnar_entry
 
 
 class _Candidate:
@@ -59,25 +54,11 @@ def reference_overflow(seq, config):
     return None
 
 
-def row_entry(seq):
-    events = [ThreadEvent(i, "st" if is_store else "ld",
-                          line * LINE_SIZE + offset)
+def one_thread(seq):
+    """One entry of one thread making ``seq``'s accesses, one a cycle."""
+    events = [(i, "st" if is_store else "ld", line * LINE_SIZE + offset)
               for i, (is_store, line, offset) in enumerate(seq)]
-    return [EntryTrace([ThreadTrace(len(seq) + 1, events)],
-                       len(seq) + 1, frame_id=0)]
-
-
-def columnar_entry(seq):
-    rec = ColumnarRecording()
-    rec.on_sloop(0, 0, 100, 0)
-    for i, (is_store, line, offset) in enumerate(seq):
-        address = line * LINE_SIZE + offset
-        if is_store:
-            rec.on_store(address, 100 + i)
-        else:
-            rec.on_load(address, 100 + i)
-    rec.on_eloop(0, 100 + len(seq) + 1)
-    return split_trace(rec, 0)
+    return [columnar_entry([(len(seq) + 1, events)])]
 
 
 def replayed_overflow(entries, config):
@@ -100,5 +81,4 @@ def test_first_overflow_matches_buffer_models(seq, geometry):
                          load_buffer_assoc=assoc,
                          store_buffer_lines=store_lines)
     want = reference_overflow(seq, config)
-    assert replayed_overflow(row_entry(seq), config) == want
-    assert replayed_overflow(columnar_entry(seq), config) == want
+    assert replayed_overflow(one_thread(seq), config) == want

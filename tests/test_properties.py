@@ -16,13 +16,15 @@ from repro.lang import compile_source, parse, tokenize
 from repro.lang.tokens import TokKind
 from repro.runtime import run_program
 from repro.runtime.values import apply_binop, java_div, java_mod
-from repro.tls import EntryTrace, ThreadEvent, ThreadTrace, simulate_stl
+from repro.tls import simulate_stl
 from repro.tracer import (
     StoreTimestampFIFO,
     arc_limited_speedup,
     estimate_speedup,
 )
 from repro.tracer.stats import STLStats
+
+from tests.conftest import columnar_entry
 
 # ---------------------------------------------------------------- lexer
 
@@ -223,8 +225,7 @@ def test_tls_independent_threads_bounds(sizes):
     the critical path."""
     from tests.test_tls import dummy_compilation
 
-    threads = [ThreadTrace(size, []) for size in sizes]
-    entry = EntryTrace(threads, sum(sizes), frame_id=0)
+    entry = columnar_entry([(size, []) for size in sizes])
     res = simulate_stl(dummy_compilation(), [entry])
     config = HydraConfig()
     assert res.violations == 0
@@ -246,11 +247,10 @@ def test_tls_dependencies_never_break_causality(pairs):
 
     threads = []
     for s_off, l_off in pairs:
-        events = [ThreadEvent(l_off, "ld", 0x4000),
-                  ThreadEvent(s_off, "st", 0x4000)]
-        events.sort(key=lambda e: e.rel_cycle)
-        threads.append(ThreadTrace(100, events))
-    entry = EntryTrace(threads, 100 * len(threads), frame_id=0)
+        events = [(l_off, "ld", 0x4000), (s_off, "st", 0x4000)]
+        events.sort(key=lambda e: e[0])
+        threads.append((100, events))
+    entry = columnar_entry(threads)
     res = simulate_stl(dummy_compilation(), [entry])
     assert res.parallel_cycles > 0
     assert res.violations >= 0

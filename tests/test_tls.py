@@ -8,27 +8,18 @@ from repro.hydra import HydraConfig
 from repro.jit import annotate_program, compile_stl
 from repro.jit.speculative import STLCompilation
 from repro.lang import compile_source
-from repro.runtime import RecordingListener, run_program
-from repro.tls import (
-    EntryTrace,
-    ThreadEvent,
-    ThreadTrace,
-    TraceSimulator,
-    local_frame_of,
-    local_slot_of,
-    simulate_stl,
-    split_trace,
-)
-from repro.runtime.events import local_address
+from repro.runtime import run_program
+from repro.runtime.events import ColumnarRecording, local_address, local_slot
+from repro.tls import EntryTrace, TraceSimulator, simulate_stl, split_trace
 
-from tests.conftest import NEST_SOURCE
+from tests.conftest import NEST_SOURCE, columnar_entry as entry
 
 
 def trace_of(source, loop_id):
     program = compile_source(source)
     table = find_candidates(program)
     ann = annotate_program(program, table)
-    rec = RecordingListener()
+    rec = ColumnarRecording()
     run_program(ann.program, listener=rec)
     return table, rec, split_trace(rec, loop_id)
 
@@ -48,45 +39,33 @@ def dummy_compilation(config=None):
     return STLCompilation(_Cand(), config or HydraConfig())
 
 
-def entry(threads):
-    """EntryTrace from (size, [(rel, kind, addr)]) tuples."""
-    tts = [ThreadTrace(size, [ThreadEvent(*e) for e in events])
-           for size, events in threads]
-    total = sum(t.size for t in tts)
-    return EntryTrace(tts, total, frame_id=0)
-
-
 class TestSplitTrace:
     def test_entries_and_threads(self):
         table, rec, entries = trace_of(NEST_SOURCE, 1)  # inner loop
         assert len(entries) == 8
         for e in entries:
-            assert len(e.threads) == 8
+            assert len(e.sizes) == 8
+            assert len(e.bounds) == len(e.starts) + 1 == 9
 
     def test_thread_sizes_sum_to_entry(self):
         _, _, entries = trace_of(NEST_SOURCE, 0)
         for e in entries:
-            assert sum(t.size for t in e.threads) == e.total_cycles
+            assert sum(e.sizes) == e.total_cycles
 
     def test_events_relative_and_in_window(self):
-        _, _, entries = trace_of(NEST_SOURCE, 2)  # sum loop
+        _, rec, entries = trace_of(NEST_SOURCE, 2)  # sum loop
         for e in entries:
-            for t in e.threads:
-                for ev in t.events:
-                    assert 0 <= ev.rel_cycle < t.size
+            assert e.recording is rec
+            for j, (start, size) in enumerate(zip(e.starts, e.sizes)):
+                for i in range(e.bounds[j], e.bounds[j + 1]):
+                    assert 0 <= rec.cycles[i] - start < size
 
     def test_local_address_roundtrip(self):
-        addr = local_address(7, 3)
-        assert local_slot_of(addr) == 3
-        assert local_frame_of(addr) == 7
-        assert local_slot_of(0x1000) is None
+        assert local_slot(local_address(7, 3)) == (7, 3)
 
     def test_unbalanced_trace_rejected(self):
-        rec = RecordingListener()
-        rec.marks.append(type(rec.marks)() if False else None)
-        # hand-build an inconsistent mark stream
-        from repro.runtime.events import LoopMark
-        rec.marks = [LoopMark(0, "eoi", 0)]
+        rec = ColumnarRecording()
+        rec.on_eoi(0, 0)  # an eoi with no sloop before it
         with pytest.raises(SimulationError):
             split_trace(rec, 0)
 
@@ -115,8 +94,9 @@ class TestSimulatorBasics:
         assert res.parallel_cycles == 155
 
     def test_empty_entry(self):
-        res = simulate_stl(dummy_compilation(),
-                           [EntryTrace([], 50, frame_id=0)])
+        empty = EntryTrace(ColumnarRecording(), [0], [], [], 50,
+                           frame_id=0)
+        res = simulate_stl(dummy_compilation(), [empty])
         assert res.parallel_cycles == 0
         assert res.sequential_cycles == 50
 

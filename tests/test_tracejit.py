@@ -17,7 +17,6 @@ from repro.errors import ExecutionError
 from repro.lang import compile_source
 from repro.runtime import (
     ColumnarRecording,
-    RecordingListener,
     TraceListener,
     run_program,
 )
@@ -62,15 +61,14 @@ class TestExactness:
 
     def test_traced_path_identical_event_stream(self):
         program = compile_source(NESTED_LOOPS)
-        ref, jit = RecordingListener(), RecordingListener()
+        ref, jit = ColumnarRecording(), ColumnarRecording()
         off = run_program(program, listener=ref, trace_jit=False)
         on = run_program(program, listener=jit, trace_jit=True,
                          trace_jit_threshold=2)
         assert _observables(on) == _observables(off)
-        assert [(e.kind, e.address, e.cycle) for e in ref.mem] == \
-               [(e.kind, e.address, e.cycle) for e in jit.mem]
-        assert [(m.kind, m.cycle, m.loop_id) for m in ref.marks] == \
-               [(m.kind, m.cycle, m.loop_id) for m in jit.marks]
+        assert len(ref) > 0
+        for column in ColumnarRecording.COLUMNS:
+            assert getattr(jit, column) == getattr(ref, column), column
         assert on.jit["traces_linked"] >= 1
 
     def test_jit_disabled_reports_no_stats(self):
