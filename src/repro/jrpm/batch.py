@@ -151,9 +151,11 @@ class FleetResult:
     with :class:`FleetErrorRow`; aggregates cover the successful rows.
     ``cache_stats`` holds this run's artifact-cache counters as
     ``{stage: {"hits": n, "misses": n, "corrupt": n}}`` (empty without
-    a cache); ``exec_stats`` holds the executor's fault counters
-    (``retries`` / ``timeouts`` / ``crashes``, all zero on a clean
-    run).
+    a cache).  A parallel worker lost to a pool break or a timeout takes
+    its ``hits`` and ``misses`` with it; only its ``corrupt`` count is
+    recovered, from the quarantined blobs on disk.  ``exec_stats``
+    holds the executor's fault counters (``retries`` / ``timeouts`` /
+    ``crashes``, all zero on a clean run).
     """
 
     def __init__(self, rows: List[FleetRow],

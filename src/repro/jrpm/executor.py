@@ -86,6 +86,30 @@ from repro.jrpm.pipeline import Jrpm
 from repro.workloads.registry import Workload, all_workloads
 
 
+def _attempt(workload: Workload, config: HydraConfig,
+             simulate_tls: bool, cache: Optional[ArtifactCache],
+             fault_plan: Optional[FaultPlan], task: Optional[Callable],
+             jrpm_kwargs: Dict, in_worker: bool):
+    """One attempt at one workload, serial or in a pool worker: fire
+    the fault plan's pre-run faults, then run ``task`` or the Jrpm
+    pipeline.  Returns the row; raises what the attempt raised."""
+    from repro.jrpm.batch import FleetRow
+
+    kwargs = dict(jrpm_kwargs)
+    if fault_plan is not None:
+        fault_plan.on_workload_start(
+            workload.name, cache.directory if cache else None,
+            in_worker=in_worker)
+        kwargs.setdefault("stage_hook",
+                          fault_plan.stage_hook(workload.name))
+    if task is not None:
+        return task(workload, config=config, simulate_tls=simulate_tls,
+                    cache=cache, **kwargs)
+    jrpm = Jrpm(source=workload.source(), name=workload.name,
+                config=config, cache=cache, **kwargs)
+    return FleetRow(workload, jrpm.run(simulate_tls=simulate_tls))
+
+
 def _execute_workload(payload: Tuple) -> Tuple:
     """Pool worker: run one workload's pipeline.
 
@@ -96,27 +120,13 @@ def _execute_workload(payload: Tuple) -> Tuple:
     traceback_text)`` pair on failure, and ``stats`` is the worker
     cache's hit/miss/corrupt counter delta (or None without a cache).
     """
-    from repro.jrpm.batch import FleetRow
-
     (index, workload, config, simulate_tls, cache_dir, fault_plan,
      task, jrpm_kwargs) = payload
     cache = ArtifactCache(directory=cache_dir) \
         if cache_dir is not None else None
     try:
-        kwargs = dict(jrpm_kwargs)
-        if fault_plan is not None:
-            fault_plan.on_workload_start(workload.name, cache_dir)
-            kwargs.setdefault("stage_hook",
-                              fault_plan.stage_hook(workload.name))
-        if task is not None:
-            row = task(workload, config=config,
-                       simulate_tls=simulate_tls, cache=cache,
-                       **kwargs)
-        else:
-            jrpm = Jrpm(source=workload.source(), name=workload.name,
-                        config=config, cache=cache, **kwargs)
-            report = jrpm.run(simulate_tls=simulate_tls)
-            row = FleetRow(workload, report)
+        row = _attempt(workload, config, simulate_tls, cache, fault_plan,
+                       task, jrpm_kwargs, in_worker=True)
         return index, row, cache.snapshot() if cache else None
     except Exception as exc:  # noqa: BLE001 - shipped to the parent
         return (index, (repr(exc), traceback.format_exc()),
@@ -212,10 +222,9 @@ class FleetExecutor:
     def _run_serial(self, workloads: List[Workload],
                     config: HydraConfig, simulate_tls: bool,
                     jrpm_kwargs: Dict) -> Tuple[List, Dict, Dict]:
-        from repro.jrpm.batch import FleetErrorRow, FleetRow
+        from repro.jrpm.batch import FleetErrorRow
 
         cache = self.cache
-        cache_dir = cache.directory if cache else None
         before = cache.snapshot() if cache else {}
         exec_stats = {"retries": 0, "timeouts": 0, "crashes": 0}
         rows: List = []
@@ -224,24 +233,9 @@ class FleetExecutor:
             while True:
                 attempt += 1
                 try:
-                    kwargs = dict(jrpm_kwargs)
-                    if self.fault_plan is not None:
-                        self.fault_plan.on_workload_start(
-                            w.name, cache_dir, in_worker=False)
-                        kwargs.setdefault(
-                            "stage_hook",
-                            self.fault_plan.stage_hook(w.name))
-                    if self.task is not None:
-                        rows.append(self.task(
-                            w, config=config,
-                            simulate_tls=simulate_tls, cache=cache,
-                            **kwargs))
-                    else:
-                        jrpm = Jrpm(source=w.source(), name=w.name,
-                                    config=config, cache=cache,
-                                    **kwargs)
-                        rows.append(FleetRow(
-                            w, jrpm.run(simulate_tls=simulate_tls)))
+                    rows.append(_attempt(
+                        w, config, simulate_tls, cache, self.fault_plan,
+                        self.task, jrpm_kwargs, in_worker=False))
                     break
                 except Exception as exc:  # noqa: BLE001 - isolated per row
                     if attempt <= self.retries:
@@ -330,7 +324,8 @@ class FleetExecutor:
                     simulate_tls, cache_dir, self.fault_plan,
                     self.task, jrpm_kwargs)
 
-        def requeue_or_fail(index: int, error: str) -> None:
+        def requeue_or_fail(index: int, error: str,
+                            trace: str = "") -> None:
             """A charged attempt failed; back off and retry, or write
             the terminal error outcome."""
             if attempts[index] < max_attempts:
@@ -339,7 +334,8 @@ class FleetExecutor:
                 heapq.heappush(delayed,
                                (time.monotonic() + delay, index))
             else:
-                results[index] = ("error", error, "", attempts[index])
+                results[index] = ("error", error, trace,
+                                  attempts[index])
 
         try:
             while pending or delayed or in_flight:
@@ -388,16 +384,7 @@ class FleetExecutor:
                         continue
                     merge_stats(stats, worker_stats)
                     if isinstance(outcome, tuple):
-                        exc_repr, trace = outcome
-                        if attempts[index] < max_attempts:
-                            exec_stats["retries"] += 1
-                            delay = self._retry_delay(attempts[index])
-                            heapq.heappush(
-                                delayed,
-                                (time.monotonic() + delay, index))
-                        else:
-                            results[index] = ("error", exc_repr, trace,
-                                              attempts[index])
+                        requeue_or_fail(index, *outcome)
                     else:
                         results[index] = ("row", outcome)
 
