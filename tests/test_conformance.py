@@ -16,7 +16,7 @@ from repro.conformance import (
     shrink_source,
 )
 from repro.conformance.campaign import fuzz_workloads
-from repro.conformance.invariants import KIND_CRASH
+from repro.conformance.invariants import KIND_CRASH, KIND_SPLIT
 from repro.conformance.oracle import (
     DEFAULT_ERROR_BOUND,
     KNOWN_WINNER_MISMATCHES,
@@ -28,6 +28,8 @@ from repro.lang import compile_source
 from repro.tls.simulator import TLSResult
 from repro.tracer.stats import STLStats
 from repro.workloads import get_workload
+
+from tests.conftest import NEST_SOURCE
 
 # ------------------------------------------------------------- shrinker
 
@@ -121,6 +123,19 @@ class TestInvariantChecks:
         res.parallel_cycles = 100  # 80x on a 4-CPU machine
         errs = res.invariant_errors(HydraConfig())
         assert errs and any("CPU" in e for e in errs)
+
+    def test_split_reconciled_with_device(self, monkeypatch):
+        """Path 3 holds the splitter to the device's loop counts: a
+        splitter that drops each entry's exit tail keeps every entry,
+        thread and ``total_cycles``, and is still caught."""
+        assert check_source(NEST_SOURCE).n_loops == 3
+        monkeypatch.setattr(
+            "repro.tls.thread_trace._thread_edges",
+            lambda bounds, end: bounds[:] if len(bounds) > 1
+            else [bounds[0], end])
+        with pytest.raises(ConformanceViolation) as exc:
+            check_source(NEST_SOURCE)
+        assert exc.value.kind == KIND_SPLIT
 
     def test_generated_programs_verify_strictly(self, fuzz_seed):
         from repro.bytecode import verify_program
