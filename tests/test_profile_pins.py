@@ -10,7 +10,14 @@ per-load-PC critical-arc bins (Sec. 6.3), and the SHA-256 of every
 profiled loop's thread windows as :func:`split_trace` cuts them from the
 recording.  A change to the event stream, the device, the recording or
 the splitter that moves any program's profile shows up here by name.
-Regenerate the fixture only when such a change is intended::
+
+``sweep_replay_pins.json`` holds, per program, the SHA-256 of every
+replay of a six-configuration selection sweep: under each
+:data:`SWEEP` configuration, every loop Eq. 2 selects (``models="all"``)
+is replayed under both speculative models, and every result field plus
+the hydra-tls simulator's ``overflow_points`` goes into the digest.
+
+Regenerate the fixtures only when such a change is intended::
 
     PYTHONPATH=src python -m tests.test_profile_pins
 """
@@ -21,14 +28,26 @@ import os
 
 import pytest
 
+from repro.hydra import HydraConfig
+from repro.jit import compile_stl
 from repro.jrpm import Jrpm
+from repro.models import get_model
 from repro.runtime.events import ColumnarRecording
-from repro.tls import split_trace
+from repro.tls import TraceEngine, TraceSimulator, split_trace
+from repro.tracer import select_stls
 from repro.workloads import all_workloads
 
 from tests.test_event_stream import device_state
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), "profile_pins.json")
+SWEEP_PINS_PATH = os.path.join(os.path.dirname(__file__),
+                               "sweep_replay_pins.json")
+
+#: ``(n_cpus, violation_restart_overhead)`` of the six selection-only
+#: configurations the repository benchmark's warm sweep analyzes
+SWEEP = tuple((n_cpus, restart) for n_cpus in (2, 4, 8)
+              for restart in (5, 20))
+MODELS = ("hydra-tls", "doacross")
 
 
 def recording_digest(recording):
@@ -71,9 +90,38 @@ def split_counts(splits):
             for lid, entries in splits.items()}
 
 
+def sweep_replay_digest(report):
+    """SHA-256 of ``(n_cpus, restart, loop, model, vars(result),
+    overflow_points)`` of every replay of the :data:`SWEEP`
+    configurations' selected loops, in sweep order."""
+    engine = TraceEngine(report.recording)
+    replays = []
+    for n_cpus, restart in SWEEP:
+        config = HydraConfig(n_cpus=n_cpus,
+                             violation_restart_overhead=restart)
+        selection = select_stls(report.device, report.profiled.cycles,
+                                config, models="all")
+        for lid in selection.selected_ids():
+            comp = compile_stl(report.candidates.by_id[lid], config)
+            for model in MODELS:
+                result = get_model(model).simulate(
+                    comp, engine.split(lid), config, engine=engine)
+                points = []
+                if model == "hydra-tls":
+                    simulator = TraceSimulator(comp, config,
+                                               engine=engine)
+                    simulator.simulate(engine.split(lid))
+                    points = simulator.overflow_points
+                replays.append((n_cpus, restart, lid, model,
+                                sorted(vars(result).items()),
+                                [list(p) for p in points]))
+    return hashlib.sha256(json.dumps(replays).encode()).hexdigest()
+
+
 def profile_all():
     """``{workload: (device, split counts, {"arcs", "device",
-    "recording", "windows"})}`` over the Table 6 programs."""
+    "recording", "windows"}, sweep replay digest)}`` over the Table 6
+    programs."""
     out = {}
     for workload in all_workloads():
         report = Jrpm(source=workload.source(),
@@ -87,7 +135,7 @@ def profile_all():
                 sort_keys=True).encode()).hexdigest(),
             "recording": recording_digest(report.recording),
             "windows": windows_digest(splits),
-        })
+        }, sweep_replay_digest(report))
     return out
 
 
@@ -105,11 +153,19 @@ def test_every_profile_matches_pins(profiled):
         assert profiled[name][2] == want, name
 
 
+def test_sweep_replays_match_pins(profiled):
+    with open(SWEEP_PINS_PATH) as fh:
+        pinned = json.load(fh)
+    assert sorted(profiled) == sorted(pinned)
+    for name, want in pinned.items():
+        assert profiled[name][3] == want, name
+
+
 def test_arc_bins_reconcile_with_stats(profiled):
     """Per bin kind, a loop's arc bins add up to its ``STLStats`` arc
     counters, and every bin names a load site."""
     loops = 0
-    for name, (device, _, _) in profiled.items():
+    for name, (device, _, _, _) in profiled.items():
         for lid, stats in device.stats.items():
             sums = {"prev": [0, 0], "earlier": [0, 0]}
             for (fn, pc, kind), b in device.profile_for(lid).bins.items():
@@ -134,7 +190,7 @@ def test_split_reconciles_with_device(profiled):
     iteration, so there the split may count more threads, never
     fewer."""
     loops = 0
-    for name, (device, counts, _) in profiled.items():
+    for name, (device, counts, _, _) in profiled.items():
         for lid, stats in device.stats.items():
             entries, threads, cycles, thread_cycles = counts[lid]
             assert (entries, cycles, thread_cycles) == (
@@ -148,8 +204,13 @@ def test_split_reconciles_with_device(profiled):
 
 
 if __name__ == "__main__":
-    pins = {name: entry for name, (_, _, entry) in profile_all().items()}
-    with open(PINS_PATH, "w") as fh:
-        json.dump(pins, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print("wrote", PINS_PATH)
+    profiles = profile_all()
+    for path, pins in (
+            (PINS_PATH, {name: entry for name, (_, _, entry, _)
+                         in profiles.items()}),
+            (SWEEP_PINS_PATH, {name: replay for name, (_, _, _, replay)
+                               in profiles.items()})):
+        with open(path, "w") as fh:
+            json.dump(pins, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print("wrote", path)

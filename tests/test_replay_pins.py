@@ -1,6 +1,8 @@
 """Per-loop replay pins: every selected loop of five Table 6 programs and
 the two test-suite nests, replayed under both speculative models, must
-reproduce the committed ``vars()`` of its result exactly.
+reproduce the committed ``vars()`` of its result exactly; a hydra-tls
+replay must also reproduce the ``(overflow rel, thread size)`` points
+its simulator reports in ``overflow_points``.
 
 The fixture covers TLS violations (deltaBlue, BitOps), TLS buffer
 overflows (BitOps under the small configuration), DOACROSS live-in
@@ -22,7 +24,7 @@ from repro.hydra import DEFAULT_HYDRA, HydraConfig
 from repro.jit import compile_stl
 from repro.jrpm import Jrpm
 from repro.models import get_model
-from repro.tls import TraceEngine
+from repro.tls import TraceEngine, TraceSimulator
 from repro.workloads.registry import get_workload
 
 from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
@@ -44,7 +46,8 @@ CONFIGS = {
 def replay_all():
     """``{workload/L<id>/model/config/sync=<bool>: vars(result)}`` for
     every selected loop of :data:`WORKLOADS` and :data:`SOURCES` under
-    ``models="all"``."""
+    ``models="all"``; a hydra-tls entry also holds the simulator's
+    ``overflow_points``."""
     sources = {name: get_workload(name).source() for name in WORKLOADS}
     sources.update(SOURCES)
     pins = {}
@@ -65,7 +68,19 @@ def replay_all():
                         key = "%s/L%d/%s/%s/sync=%s" % (
                             name, lid, model, cname, sync)
                         pins[key] = vars(result)
+                        if model == "hydra-tls":
+                            pins[key]["overflow_points"] = \
+                                overflow_points(comp, config, engine,
+                                                lid)
     return pins
+
+
+def overflow_points(comp, config, engine, lid):
+    """The hydra-tls simulator's ``overflow_points`` for one loop, as
+    JSON lists."""
+    simulator = TraceSimulator(comp, config, engine=engine)
+    simulator.simulate(engine.split(lid))
+    return [list(point) for point in simulator.overflow_points]
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +109,8 @@ def test_pins_exercise_every_policy_branch(replayed):
     assert total("violations", "doacross", False) > 0
     assert total("overflows", "doacross", False) == 0
     assert total("posts", "doacross", False) > 0
+    assert sum(len(r["overflow_points"]) for k, r in replayed.items()
+               if "/small/" in k and "/hydra-tls/" in k) > 0
 
 
 if __name__ == "__main__":
