@@ -16,7 +16,7 @@ Three modes are timed and written to ``BENCH_pipeline.json``:
 * ``analysis_sweep`` — the Figure 11 predicted-vs-actual replay under
   a 6-configuration Hydra sweep over one recorded trace, through the
   columnar :class:`~repro.tls.engine.TraceEngine`.  The engine's
-  per-phase seconds and split hit/miss counters are recorded
+  per-phase seconds and split/plan hit/miss counters are recorded
   alongside, as are trace-JIT on/off rows for the traced recording
   run that feeds it;
 * ``trace_jit`` — the full Huffman pipeline with the trace JIT on vs.
@@ -276,14 +276,14 @@ def _time_analysis_sweep() -> Dict:
         except SimulationError:
             continue
 
-    # splits are built once per loop and each thread replays in one
-    # fused pass over its column window
+    # splits are built once per loop, replay plans once per loop and
+    # store-buffer size, and each config only runs the timing pass
     engine = TraceEngine(columnar)
     start = time.perf_counter()
     for config in ANALYSIS_SWEEP:
         for lid in loops:
             comp = compile_stl(candidates.by_id[lid], config)
-            simulate_stl(comp, engine.split(lid), config, engine=engine)
+            simulate_stl(comp, config=config, engine=engine)
     engine_s = time.perf_counter() - start
 
     return {

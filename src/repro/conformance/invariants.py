@@ -353,7 +353,7 @@ def check_source(source: str, seed: Optional[int] = None,
             continue
         comp = compile_stl(cand, config)
         simulator = TraceSimulator(comp, config, engine=engine)
-        tls = simulator.simulate(engine.split(sel.loop_id))
+        tls = simulator.simulate()
         tls_results[sel.loop_id] = tls
         outcome.tls_simulated += 1
         errs = tls.invariant_errors(config)
@@ -374,8 +374,7 @@ def check_source(source: str, seed: Optional[int] = None,
                        "loop %d overflow at rel %d outside thread "
                        "of %d cycles" % (sel.loop_id, ov, size), seed)
         # path 6: the same trace under the DOACROSS post/wait model
-        doa = simulate_doacross(comp, engine.split(sel.loop_id),
-                                config, engine=engine)
+        doa = simulate_doacross(comp, config=config, engine=engine)
         outcome.doacross_simulated += 1
         errs = doa.invariant_errors(config)
         if errs:

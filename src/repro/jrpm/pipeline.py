@@ -20,7 +20,7 @@ benches and tests can regenerate each of the paper's tables and figures.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.bytecode.program import Program
 from repro.cfg.candidates import CandidateTable, find_candidates
@@ -155,7 +155,7 @@ class Jrpm:
 
     def run(self, simulate_tls: bool = True) -> JrpmReport:
         """Execute the full pipeline; see the module docstring."""
-        report = self._profile(self.level)
+        report, plans = self._profile(self.level)
 
         # stage 3: select STLs (statistics are measured on the profiled
         # run, whose cycle counts include annotation overhead; the same
@@ -167,10 +167,11 @@ class Jrpm:
 
         # stages 4 + 5: speculative recompilation + execution under
         # each loop's winning model, replayed through one TraceEngine
-        # (zero-copy windows split once per loop and shared by every
-        # model that replays it)
+        # (a loop's replay plan is built once per buffer geometry and
+        # kept next to the cached profile, so a warm run only times it)
         if simulate_tls:
-            engine = report.engine = TraceEngine(report.recording)
+            engine = report.engine = TraceEngine(report.recording,
+                                                 plans=plans)
             for sel in report.selection.selected:
                 cand = report.candidates.by_id.get(sel.loop_id)
                 if cand is None:
@@ -178,8 +179,8 @@ class Jrpm:
                 comp = compile_stl(cand, self.config)
                 report.compilations[sel.loop_id] = comp
                 report.tls_results[sel.loop_id] = get_model(
-                    sel.model).simulate(comp, engine.split(sel.loop_id),
-                                        self.config, engine=engine)
+                    sel.model).simulate(comp, config=self.config,
+                                        engine=engine)
             report.outcome = ProgramTLSOutcome(
                 report.selection, report.tls_results)
         return report
@@ -188,12 +189,15 @@ class Jrpm:
                          ) -> SlowdownBreakdown:
         """Run only the profiling-slowdown measurement at one annotation
         level (Figure 6's bars): stages 1-2 of :meth:`run`."""
-        return self._profile(level).slowdown
+        return self._profile(level)[0].slowdown
 
-    def _profile(self, level: AnnotationLevel) -> JrpmReport:
+    def _profile(self, level: AnnotationLevel) -> Tuple[JrpmReport,
+                                                        Optional[Dict]]:
         """Stages 1-2 at annotation ``level``: compile, annotate, the
         sequential baseline and the profiled run, each through the
-        artifact cache.  Returns a report filled up to ``slowdown``."""
+        artifact cache.  Returns a report filled up to ``slowdown``,
+        and the cache's replay-plan memo for the profile (None
+        without a cache)."""
         report = JrpmReport(self.name)
         cache = self.cache
         hook = self.stage_hook or (lambda stage: None)
@@ -271,6 +275,7 @@ class Jrpm:
         # a re-profile.
         hook(STAGE_PROFILE)
         hit = False
+        plans = None
         if cache is not None:
             pkey = cache_key(
                 STAGE_PROFILE, akey, cost_model,
@@ -281,6 +286,7 @@ class Jrpm:
                 # artifact changes shape, so stale disk blobs miss
                 "art4")
             hit, art = cache.fetch(STAGE_PROFILE, pkey)
+            plans = cache.plans(pkey)
         if hit:
             profiled, device, recording = art
         else:
@@ -319,7 +325,7 @@ class Jrpm:
                 "annotation changed program semantics (%r vs %r)"
                 % (report.profiled.return_value,
                    report.sequential.return_value))
-        return report
+        return report, plans
 
 
 def run_pipeline(source: str, name: str = "program",

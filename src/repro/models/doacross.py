@@ -135,10 +135,11 @@ def estimate_doacross(stats, config=DEFAULT_HYDRA):
                             orig_time, covered * arc_rate)
 
 
-def simulate_doacross(compilation, entries, config=DEFAULT_HYDRA,
+def simulate_doacross(compilation, entries=None, config=DEFAULT_HYDRA,
                       engine=None):
-    """One-call wrapper: replay all entries of one STL under the
-    post/wait dependence policy."""
+    """One-call wrapper: replay all entries of one STL (the engine's
+    plan of it when ``entries`` is None) under the post/wait
+    dependence policy."""
     return TraceSimulator(compilation, config, engine=engine,
                           post_wait=True).simulate(entries)
 
@@ -151,7 +152,7 @@ class DoacrossModel(SpeculationModel):
     def estimate(self, stats, config=DEFAULT_HYDRA):
         return estimate_doacross(stats, config)
 
-    def simulate(self, compilation, entries, config=DEFAULT_HYDRA,
+    def simulate(self, compilation, entries=None, config=DEFAULT_HYDRA,
                  engine=None):
         return simulate_doacross(compilation, entries, config,
                                  engine=engine)

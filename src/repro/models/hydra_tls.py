@@ -21,6 +21,6 @@ class HydraTLSModel(SpeculationModel):
     def estimate(self, stats, config=DEFAULT_HYDRA):
         return estimate_speedup(stats, config)
 
-    def simulate(self, compilation, entries, config=DEFAULT_HYDRA,
+    def simulate(self, compilation, entries=None, config=DEFAULT_HYDRA,
                  engine=None):
         return simulate_stl(compilation, entries, config, engine=engine)

@@ -177,10 +177,12 @@ class _FrontendHandler(JsonHandler):
         try:
             body = self._read_body()
         except _BadBody as exc:
-            self._send_json(exc.status, error_body(str(exc)),
-                            headers={"Connection": "close"})
+            # counted before the response is written, as the shard
+            # server does
             frontend.metrics.observe_request(
                 endpoint, exc.status, time.monotonic() - started)
+            self._send_json(exc.status, error_body(str(exc)),
+                            headers={"Connection": "close"})
             return
         if path != "/analyze":
             self._send_json(404, error_body("no such endpoint: %s"

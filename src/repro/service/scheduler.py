@@ -182,6 +182,9 @@ class RequestScheduler:
         self._queue: deque = deque()          # _Entry, FIFO
         self._inflight: Dict[str, _Entry] = {}  # key -> queued/running
         self._results: OrderedDict = OrderedDict()  # key -> outcome (LRU)
+        #: requests of the batch the dispatcher holds (taken off the
+        #: queue, not yet resolved)
+        self._running = 0
         self._open = True
         self._drain = True
         self._dispatcher = threading.Thread(
@@ -268,6 +271,13 @@ class RequestScheduler:
             return len(self._queue)
 
     @property
+    def running(self) -> int:
+        """Requests the dispatcher has taken off the queue and not yet
+        resolved."""
+        with self._cond:
+            return self._running
+
+    @property
     def in_flight(self) -> int:
         """Distinct computations admitted but unresolved."""
         with self._cond:
@@ -287,6 +297,7 @@ class RequestScheduler:
                                              "before this request ran")
                     return
                 batch = self._take_batch_locked()
+                self._running = len(batch)
                 self.metrics.set_gauge("queue_depth", len(self._queue))
                 self.metrics.set_gauge("batch_in_flight", len(batch))
             try:
@@ -345,6 +356,7 @@ class RequestScheduler:
                     while len(self._results) > self.result_cache_size:
                         self._results.popitem(last=False)
                 entry.event.set()
+            self._running = 0
             self.metrics.inc("analyze_completed", len(batch))
             self.metrics.set_gauge("batch_in_flight", 0)
 

@@ -188,13 +188,15 @@ class _Handler(JsonHandler):
         try:
             body = self._read_body()
         except _BadBody as exc:
+            # counted before the response is written, so a client that
+            # reads /metrics after it sees it counted
+            service.metrics.observe_request(
+                endpoint, exc.status, time.monotonic() - started)
             # the unread body is still on the wire: advertise and
             # perform a close (send_header('Connection','close') also
             # flips close_connection)
             self._send_json(exc.status, error_body(str(exc)),
                             headers={"Connection": "close"})
-            service.metrics.observe_request(
-                endpoint, exc.status, time.monotonic() - started)
             return
         push_key = parse_push_path(path)
         if push_key is not None:

@@ -620,15 +620,18 @@ class TestBackpressure:
                 with lock:
                     tickets.append(got)
 
-            # one running + two queued fills the bound
+            # one running + two queued fills the bound; both counts
+            # are waited on, since two can be queued before the
+            # dispatcher has taken the first
             threads = [threading.Thread(target=client, args=(n,))
                        for n in ("BitOps", "Huffman", "IDEA")]
             for t in threads:
                 t.start()
             deadline = time.monotonic() + 10
-            while sched.queued < 2 and time.monotonic() < deadline:
+            while (sched.running, sched.queued) != (1, 2) \
+                    and time.monotonic() < deadline:
                 time.sleep(0.005)
-            assert sched.queued == 2
+            assert (sched.running, sched.queued) == (1, 2)
             status, body, headers = _request(
                 svc.port, "POST", "/analyze",
                 body={"workload": "monteCarlo"})

@@ -290,3 +290,27 @@ class TestMemoDeterminism:
         # the second pass reuses every split
         assert after["split"]["hits"] > before["split"]["hits"]
         assert after["split"]["misses"] == before["split"]["misses"]
+
+    def test_plan_memo_serves_both_models(self, recorded):
+        """Replays the engine serves from its plan memo equal replays
+        that plan the split themselves; the first replay of a loop
+        builds its plan (a ``classify`` miss), the other model's replay
+        reuses it (a hit), and a pickled engine carries no plans."""
+        table, _, columnar = recorded
+        engine = TraceEngine(columnar)
+        config = HydraConfig()
+        loops = _windowable_loops(table, columnar)
+        for model in ("hydra-tls", "doacross"):
+            for lid in loops:
+                comp = compile_stl(table.by_id[lid], config)
+                served = get_model(model).simulate(
+                    comp, config=config, engine=engine)
+                planned = get_model(model).simulate(
+                    comp, split_trace(columnar, lid), config)
+                assert vars(served) == vars(planned), (model, lid)
+        stats = engine.stats
+        assert stats.misses["classify"] == len(loops)
+        assert stats.hits["classify"] == len(loops)
+        assert stats.seconds["classify"] > 0
+        assert stats.calls["resolve"] == 2 * len(loops)
+        assert pickle.loads(pickle.dumps(engine))._plans == {}
