@@ -191,6 +191,18 @@ class TestCacheCommand:
         assert not [p for p in os.listdir(tmp_path)
                     if p.endswith(".pkl")]
 
+    def test_purge_sweeps_leftover_ledgers(self, tmp_path, capsys):
+        import os
+
+        self._populate(tmp_path)
+        ledger = tmp_path / "123.0.7.ledger"
+        ledger.write_text("misses compile\n")
+        capsys.readouterr()
+        assert main(["cache", "purge", "--cache-dir",
+                     str(tmp_path)]) == 0
+        assert "purged 5 file(s)" in capsys.readouterr().out
+        assert not os.path.exists(ledger)
+
     def test_purge_keep_quarantined(self, tmp_path, capsys):
         import os
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.hydra import HydraConfig
 from repro.jit.speculative import STLCompilation
 from repro.jrpm import Jrpm
@@ -94,6 +95,12 @@ class TestRegistry:
     def test_resolve_unknown_raises(self):
         with pytest.raises(KeyError):
             resolve_models("hydra-tls,warp-speed")
+
+    @pytest.mark.parametrize("name", ["sequential", "hydra-tls",
+                                      "doacross"])
+    def test_replay_without_entries_or_engine_raises(self, name):
+        with pytest.raises(SimulationError, match="needs a TraceEngine"):
+            get_model(name).simulate(dummy_compilation())
 
 
 # ---------------------------------------------------------------------------

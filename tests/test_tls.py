@@ -196,6 +196,16 @@ class TestOverflow:
             [entry([(100, events), (100, [])])])
         assert res.overflows == 1
 
+    @pytest.mark.parametrize("post_wait", [False, True])
+    def test_malformed_geometry_rejected_by_both_policies(self,
+                                                          post_wait):
+        # fewer load-buffer lines than ways leaves no set to index
+        config = HydraConfig(load_buffer_lines=2, load_buffer_assoc=4)
+        comp = dummy_compilation(config)
+        with pytest.raises(SimulationError):
+            TraceSimulator(comp, config, post_wait=post_wait).simulate(
+                [entry([(100, [(0, "ld", 0)]), (100, [])])])
+
 
 class TestEndToEnd:
     def test_nest_outer_loop_speeds_up(self):
