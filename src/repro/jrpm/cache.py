@@ -15,15 +15,28 @@ Stages and their key components
 ``annotate``
     (compile key, annotation level) -> pristine
     :class:`AnnotatedProgram` (snapshotted *before* the profiling run
-    patches converged READSTATS sites to NOPs).
+    patches converged READSTATS sites to NOPs).  Only the profiled run
+    reads it, so it is read only on a ``profile`` miss.
 ``sequential``
     (compile key, cost model, instruction budget) -> the baseline
     :class:`RunResult` of the unannotated program.
 ``profile``
     (annotate key, cost model, the profiling-relevant subset of
     :class:`HydraConfig`, convergence threshold, instruction budget,
-    trace-JIT flag) -> the profiled run, the finished TEST device,
-    the recorded event trace, and the annotation counter.
+    trace-JIT flag) -> the profiled :class:`RunResult` and the finished
+    TEST device (which carries the annotation counter).
+``recording``
+    (profile key) -> the profiled run's
+    :class:`~repro.runtime.events.ColumnarRecording`, stored next to
+    the profile artifact but read apart from it: selection never reads
+    the trace, so a warm run fetches the recording only when the
+    replay needs a plan it has not memoised (or a caller reads
+    ``report.recording``).  A missing or corrupt recording blob re-runs
+    the profiled stage, which stores both artifacts again.
+
+A stage counts a hit or a miss only when its artifact is read: a warm
+run whose replay plans are memoised counts ``compile``, ``sequential``
+and ``profile`` hits and nothing else.
 
 Selection (Equation 2) and the TLS replay's timing pass are recomputed
 on every run: they are cheap relative to profiling and depend on knobs
@@ -78,9 +91,11 @@ STAGE_COMPILE = "compile"
 STAGE_ANNOTATE = "annotate"
 STAGE_SEQUENTIAL = "sequential"
 STAGE_PROFILE = "profile"
+STAGE_RECORDING = "recording"
 
 #: every pipeline stage the cache knows about, in execution order
-STAGES = (STAGE_COMPILE, STAGE_ANNOTATE, STAGE_SEQUENTIAL, STAGE_PROFILE)
+STAGES = (STAGE_COMPILE, STAGE_ANNOTATE, STAGE_SEQUENTIAL, STAGE_PROFILE,
+          STAGE_RECORDING)
 
 #: HydraConfig fields the profiling stage actually reads: timestamp
 #: storage geometry (Section 5.3), comparator bank count (Section 5.2),

@@ -114,7 +114,8 @@ class FaultPlan:
     def raise_in_stage(self, workload: str, stage: str,
                        times: int = 1) -> "FaultPlan":
         """:class:`FaultInjected` is raised when ``workload`` enters
-        the named pipeline stage (see ``repro.jrpm.cache.STAGES``)."""
+        the named pipeline stage (a ``repro.jrpm.cache.STAGES`` name
+        other than ``recording``, which has no stage hook)."""
         return self._add(RAISE, workload, stage=stage, times=times)
 
     def truncate_blob(self, workload: str, stage: str,

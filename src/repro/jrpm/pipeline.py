@@ -20,22 +20,20 @@ benches and tests can regenerate each of the paper's tables and figures.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.bytecode.program import Program
 from repro.cfg.candidates import CandidateTable, find_candidates
 from repro.errors import PipelineError
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
-from repro.jit.annotate import (
-    AnnotatedProgram,
-    AnnotationLevel,
-    annotate_program,
-)
+from repro.jit.annotate import AnnotationLevel, annotate_program
 from repro.jit.speculative import STLCompilation, compile_stl
 from repro.jrpm.cache import (
     STAGE_ANNOTATE,
     STAGE_COMPILE,
     STAGE_PROFILE,
+    STAGE_RECORDING,
     STAGE_SEQUENTIAL,
     ArtifactCache,
     cache_key,
@@ -48,7 +46,7 @@ from repro.models import get_model, resolve_models
 from repro.runtime.costs import DEFAULT_COSTS, CostModel
 from repro.runtime.events import ColumnarRecording, MulticastListener
 from repro.runtime.interpreter import Interpreter, RunResult, run_program
-from repro.tls.engine import TraceEngine
+from repro.tls.engine import LazyRecording, TraceEngine
 from repro.tls.simulator import TLSResult
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
@@ -62,7 +60,6 @@ class JrpmReport:
         self.name = name
         self.program: Optional[Program] = None
         self.candidates: Optional[CandidateTable] = None
-        self.annotated: Optional[AnnotatedProgram] = None
         self.device: Optional[TestDevice] = None
         #: per-pass optimizer counters (dict; None when optimize=off)
         self.optimize_stats: Optional[Dict[str, int]] = None
@@ -73,12 +70,19 @@ class JrpmReport:
         self.compilations: Dict[int, STLCompilation] = {}
         self.tls_results: Dict[int, TLSResult] = {}
         self.outcome: Optional[ProgramTLSOutcome] = None
-        #: the ColumnarRecording of the profiled run; sweeps can replay
-        #: it without re-profiling
-        self.recording: Optional[ColumnarRecording] = None
+        #: the profiled run's recording, shared with :attr:`engine`
+        self._recording = LazyRecording()
         #: the trace engine the TLS replay ran through (None when TLS
         #: was skipped)
         self.engine: Optional[TraceEngine] = None
+
+    @property
+    def recording(self) -> Optional[ColumnarRecording]:
+        """The ColumnarRecording of the profiled run; sweeps can replay
+        it without re-profiling.  From a cached profile it is fetched
+        on first access; a pickled report carries it only if it was
+        loaded before pickling (else this reads None)."""
+        return self._recording.get()
 
     # -- headline numbers -------------------------------------------------
 
@@ -170,7 +174,7 @@ class Jrpm:
         # (a loop's replay plan is built once per buffer geometry and
         # kept next to the cached profile, so a warm run only times it)
         if simulate_tls:
-            engine = report.engine = TraceEngine(report.recording,
+            engine = report.engine = TraceEngine(report._recording,
                                                  plans=plans)
             for sel in report.selection.selected:
                 cand = report.candidates.by_id.get(sel.loop_id)
@@ -234,20 +238,14 @@ class Jrpm:
         report.candidates = candidates
         report.optimize_stats = opt_stats
 
-        # stage 1b: annotate.  The artifact is stored before the
-        # profiled run, which patches converged READSTATS sites in the
-        # live annotated code — the cache must hold the pristine form.
+        # stage 1b: annotate.  Only the profiled run reads the
+        # annotated program, so its artifact is fetched (or built) on a
+        # profile miss alone (see _profiled_run); the hook still fires
+        # here, in stage order
         hook(STAGE_ANNOTATE)
-        akey = annotated = None
-        hit = False
+        akey = None
         if cache is not None:
             akey = cache_key(STAGE_ANNOTATE, ckey, level)
-            hit, annotated = cache.fetch(STAGE_ANNOTATE, akey)
-        if not hit:
-            annotated = annotate_program(program, candidates, level)
-            if cache is not None:
-                cache.store(STAGE_ANNOTATE, akey, annotated)
-        report.annotated = annotated
 
         # baseline sequential run (the "original code")
         hook(STAGE_SEQUENTIAL)
@@ -275,7 +273,7 @@ class Jrpm:
         # a re-profile.
         hook(STAGE_PROFILE)
         hit = False
-        plans = None
+        pkey = plans = None
         if cache is not None:
             pkey = cache_key(
                 STAGE_PROFILE, akey, cost_model,
@@ -284,38 +282,24 @@ class Jrpm:
                 self.max_instructions, self.trace_jit,
                 # artifact-format version: bumped whenever a stored
                 # artifact changes shape, so stale disk blobs miss
-                "art4")
+                # ("art5": the recording left the profile artifact for
+                # its own, so an old 3-tuple must never be served)
+                "art5")
             hit, art = cache.fetch(STAGE_PROFILE, pkey)
             plans = cache.plans(pkey)
         if hit:
-            profiled, device, recording = art
+            profiled, device = art
+            # the replay reads the recording only to build a plan it
+            # has not memoised, so it is fetched on first access
+            report._recording = LazyRecording(load=partial(
+                self._cached_recording, program, candidates, level,
+                akey, pkey))
         else:
-            device = TestDevice(self.config)
-            device.convergence_threshold = self.convergence_threshold
-            for lid, cand in annotated.annotated_loops.items():
-                device.register_loop_locals(lid, cand.tracked_locals)
-            recording = ColumnarRecording()
-            listener = MulticastListener([device, recording])
-            interp = Interpreter(
-                annotated.program, cost_model=self.cost_model,
-                listener=listener, max_instructions=self.max_instructions,
-                trace_jit=self.trace_jit)
-            runtime = ProfilingRuntime(annotated.program, interp)
-            device.on_converged = runtime.on_converged
-            profiled = interp.run()
-            device.finish()
-            # the convergence callback is a bound method of the
-            # runtime, which holds the whole interpreter (and with it
-            # any linked trace-JIT superblocks) — drop it now that
-            # profiling is over so reports stay picklable across the
-            # fleet's process boundary
-            device.on_converged = None
-            if cache is not None:
-                cache.store(STAGE_PROFILE, pkey,
-                            (profiled, device, recording))
+            profiled, device, recording = self._profiled_run(
+                program, candidates, level, akey, pkey)
+            report._recording = LazyRecording(recording)
         report.profiled = profiled
         report.device = device
-        report.recording = recording
         report.slowdown = SlowdownBreakdown(
             report.sequential.cycles, report.profiled.cycles,
             AnnotationCounter.from_device(device))
@@ -326,6 +310,65 @@ class Jrpm:
                 % (report.profiled.return_value,
                    report.sequential.return_value))
         return report, plans
+
+    def _profiled_run(self, program: Program, candidates: CandidateTable,
+                      level: AnnotationLevel, akey: Optional[str],
+                      pkey: Optional[str]
+                      ) -> Tuple[RunResult, TestDevice, ColumnarRecording]:
+        """Stage 2's one miss path: annotate ``program`` (through the
+        cache), run it with the TEST device and a recording attached,
+        and store the profile and recording artifacts under ``pkey``.
+        Returns ``(profiled, device, recording)``."""
+        cache = self.cache
+        # the annotate artifact is stored before the profiled run,
+        # which patches converged READSTATS sites in the live annotated
+        # code — the cache must hold the pristine form
+        hit = False
+        if cache is not None:
+            hit, annotated = cache.fetch(STAGE_ANNOTATE, akey)
+        if not hit:
+            annotated = annotate_program(program, candidates, level)
+            if cache is not None:
+                cache.store(STAGE_ANNOTATE, akey, annotated)
+        device = TestDevice(self.config)
+        device.convergence_threshold = self.convergence_threshold
+        for lid, cand in annotated.annotated_loops.items():
+            device.register_loop_locals(lid, cand.tracked_locals)
+        recording = ColumnarRecording()
+        listener = MulticastListener([device, recording])
+        interp = Interpreter(
+            annotated.program, cost_model=self.cost_model,
+            listener=listener, max_instructions=self.max_instructions,
+            trace_jit=self.trace_jit)
+        runtime = ProfilingRuntime(annotated.program, interp)
+        device.on_converged = runtime.on_converged
+        profiled = interp.run()
+        device.finish()
+        # the convergence callback is a bound method of the runtime,
+        # which holds the whole interpreter (and with it any linked
+        # trace-JIT superblocks) — drop it now that profiling is over
+        # so reports stay picklable across the fleet's process boundary
+        device.on_converged = None
+        if cache is not None:
+            cache.store(STAGE_PROFILE, pkey, (profiled, device))
+            cache.store(STAGE_RECORDING, cache_key(STAGE_RECORDING, pkey),
+                        recording)
+        return profiled, device, recording
+
+    def _cached_recording(self, program: Program,
+                          candidates: CandidateTable,
+                          level: AnnotationLevel, akey: str,
+                          pkey: str) -> ColumnarRecording:
+        """The recording of the cached profile under ``pkey``.  A
+        missing or corrupt recording blob re-runs the profiled stage,
+        which stores both artifacts again; the run is deterministic, so
+        its recording is the one the profile was taken with."""
+        hit, recording = self.cache.fetch(
+            STAGE_RECORDING, cache_key(STAGE_RECORDING, pkey))
+        if not hit:
+            recording = self._profiled_run(program, candidates, level,
+                                           akey, pkey)[2]
+        return recording
 
 
 def run_pipeline(source: str, name: str = "program",

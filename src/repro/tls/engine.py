@@ -4,7 +4,10 @@ plus observability.
 One :class:`TraceEngine` wraps one
 :class:`~repro.runtime.events.ColumnarRecording`, the only trace layout,
 and serves every model replay the back half of the Jrpm pipeline runs
-against it:
+against it.  The recording may be a :class:`LazyRecording`: the
+pipeline's engine over a cached profile fetches the recording artifact
+only when it first needs the events (a split for a plan miss), so a
+warm run whose plans all hit never unpickles it.  The engine's kernels:
 
 * ``split(loop_id)`` — index-only thread windowing, computed once per
   loop (the shared cycle index is the sorted ``cycles`` column itself);
@@ -31,7 +34,7 @@ counters and ``bench_perf_pipeline`` persists them into
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.hydra.config import HydraConfig
 from repro.jit.speculative import STLCompilation
@@ -88,21 +91,54 @@ class TraceEngineStats:
         return "\n".join(lines)
 
 
+class LazyRecording:
+    """A recording, or the loader that fetches it on first :meth:`get`.
+
+    A report and its engine share one, so whichever reads the events
+    first fetches them once for both.  The loader runs at most once and
+    never pickles: a recording that was never loaded pickles as absent,
+    and :meth:`get` on the copy returns None.
+    """
+
+    def __init__(self, recording: Optional[ColumnarRecording] = None,
+                 load: Optional[Callable[[], ColumnarRecording]] = None):
+        self._recording = recording
+        self._load = load
+
+    def get(self) -> Optional[ColumnarRecording]:
+        if self._recording is None and self._load is not None:
+            self._recording = self._load()
+            self._load = None
+        return self._recording
+
+    def __getstate__(self):
+        return {"_recording": self._recording, "_load": None}
+
+
 class TraceEngine:
     """Memoized thread windows and replay plans over one columnar
     recording.
 
-    ``plans`` is the plan memo to serve from and fill (the one the
-    artifact cache keeps for the recording's profile); by default the
-    engine keeps its own.  A pickled engine carries no plans.
+    ``recording`` is the recording itself or a :class:`LazyRecording`
+    of it.  ``plans`` is the plan memo to serve from and fill (the one
+    the artifact cache keeps for the recording's profile); by default
+    the engine keeps its own.  A pickled engine carries no plans.
     """
 
-    def __init__(self, recording: ColumnarRecording,
+    def __init__(self,
+                 recording: Union[ColumnarRecording, LazyRecording],
                  plans: Optional[Dict] = None):
-        self.recording = recording
+        if not isinstance(recording, LazyRecording):
+            recording = LazyRecording(recording)
+        self._recording = recording
         self.stats = TraceEngineStats()
         self._splits: Dict[int, List[EntryTrace]] = {}
         self._plans: Dict = {} if plans is None else plans
+
+    @property
+    def recording(self) -> Optional[ColumnarRecording]:
+        """The recording the engine replays (loaded on first access)."""
+        return self._recording.get()
 
     def __getstate__(self):
         state = self.__dict__.copy()

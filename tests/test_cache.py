@@ -19,6 +19,7 @@ from repro.jrpm.cache import (
     STAGE_ANNOTATE,
     STAGE_COMPILE,
     STAGE_PROFILE,
+    STAGE_RECORDING,
     STAGE_SEQUENTIAL,
     ArtifactCache,
     CorruptBlobError,
@@ -32,6 +33,8 @@ from repro.jrpm.faults import truncate_stage_blobs
 from repro.jrpm.pipeline import Jrpm
 from repro.runtime.costs import CostModel
 from repro.workloads import get_workload
+
+from tests.test_profile_pins import recording_digest
 
 REPORT_FIELDS = [
     "sequential_cycles", "profiling_slowdown", "predicted_speedup",
@@ -61,12 +64,14 @@ class TestHitCorrectness:
             assert getattr(baseline, field) == getattr(cold, field)
             assert getattr(cold, field) == getattr(warm, field), field
         assert warm.outcome.actual_speedup == cold.outcome.actual_speedup
+        # the cold run reads the annotate artifact for its profile
+        # miss; the warm one reads neither it nor the recording (its
+        # replay plans are memoised next to the profile)
         assert cache.misses == {s: 1 for s in (
             STAGE_COMPILE, STAGE_ANNOTATE, STAGE_SEQUENTIAL,
             STAGE_PROFILE)}
         assert cache.hits == {s: 1 for s in (
-            STAGE_COMPILE, STAGE_ANNOTATE, STAGE_SEQUENTIAL,
-            STAGE_PROFILE)}
+            STAGE_COMPILE, STAGE_SEQUENTIAL, STAGE_PROFILE)}
 
     def test_runtime_patching_does_not_leak_into_cache(self):
         # a low convergence threshold makes the profiled run patch
@@ -85,11 +90,14 @@ class TestHitCorrectness:
 
     def test_fetched_artifacts_are_fresh_copies(self):
         cache = ArtifactCache()
+        _run(cache)
         first = _run(cache)
         second = _run(cache)
         assert first.program is not second.program
         assert first.device is not second.device
-        assert first.annotated.program is not second.annotated.program
+        assert first.recording is not second.recording
+        assert first.recording.cycles is not second.recording.cycles
+        assert cache.hits[STAGE_RECORDING] == 2
 
 
 class TestStageInvalidation:
@@ -155,7 +163,12 @@ class TestBlobStore:
         cold = _run(first)
         second = ArtifactCache(directory=str(tmp_path))
         warm = _run(second)
-        assert second.hit_count == 4 and second.miss_count == 0
+        # a new instance has no replay plans in memory, so the replay
+        # reads the recording; the annotate artifact stays unread
+        assert second.hits == {s: 1 for s in (
+            STAGE_COMPILE, STAGE_SEQUENTIAL, STAGE_PROFILE,
+            STAGE_RECORDING)}
+        assert second.miss_count == 0
         for field in REPORT_FIELDS:
             assert getattr(cold, field) == getattr(warm, field)
 
@@ -225,7 +238,8 @@ class TestBlobIntegrity:
         stages = {blob_stage(os.path.join(str(tmp_path), n))
                   for n in os.listdir(str(tmp_path))}
         assert stages == {STAGE_COMPILE, STAGE_ANNOTATE,
-                          STAGE_SEQUENTIAL, STAGE_PROFILE}
+                          STAGE_SEQUENTIAL, STAGE_PROFILE,
+                          STAGE_RECORDING}
 
     def test_truncated_blob_is_a_miss_and_quarantined(self, tmp_path):
         # regression: a hand-truncated blob used to crash pickle.loads
@@ -257,8 +271,10 @@ class TestBlobIntegrity:
         with open(path, "wb") as handle:
             handle.write(frame_blob(STAGE_ANNOTATE, b"\x80\x04 junk"))
 
+        # only a profile miss reads the annotate artifact: a new
+        # convergence threshold re-profiles and reaches the bad blob
         fresh = ArtifactCache(directory=str(tmp_path))
-        report = _run(fresh)
+        report = _run(fresh, convergence_threshold=500)
         assert fresh.corrupt == {STAGE_ANNOTATE: 1}
         assert fresh.misses[STAGE_ANNOTATE] == 1
         assert os.path.exists(path + ".corrupt")
@@ -327,6 +343,125 @@ class TestBlobIntegrity:
         fresh = ArtifactCache(directory=str(tmp_path))
         hit, got = fresh.fetch("compile", "samekey")
         assert hit and got == value
+
+
+def _count_fetches(cache):
+    """Record the stage of every ``cache.fetch`` call, in order."""
+    fetched = []
+    real = cache.fetch
+
+    def fetch(stage, key):
+        fetched.append(stage)
+        return real(stage, key)
+
+    cache.fetch = fetch
+    return fetched
+
+
+class TestLazyRecording:
+    """The recording is its own artifact, read only by a replay that
+    must build a plan (or by a caller of ``report.recording``), and the
+    annotate artifact only by a profile miss."""
+
+    def test_warm_op_with_memoised_plans_reads_only_what_it_needs(self):
+        baseline = _run(name="Huffman", models="all")
+        cache = ArtifactCache()
+        _run(cache, "Huffman", models="all")
+        fetched = _count_fetches(cache)
+        warm = _run(cache, "Huffman", models="all")
+        assert fetched == [STAGE_COMPILE, STAGE_SEQUENTIAL, STAGE_PROFILE]
+        assert warm.engine.stats.misses["classify"] == 0
+        # the recording still loads on access, once, and is the one
+        # the profile was taken with
+        assert recording_digest(warm.recording) == \
+            recording_digest(baseline.recording)
+        assert warm.engine.recording is warm.recording
+        assert fetched[3:] == [STAGE_RECORDING]
+
+    def test_plan_miss_fetches_the_recording_once(self):
+        # the load-buffer associativity is no profile key field but is
+        # a plan key field: the profile hits and every plan misses
+        cache = ArtifactCache()
+        _run(cache, "Huffman")
+        fetched = _count_fetches(cache)
+        report = _run(cache, "Huffman",
+                      config=HydraConfig(load_buffer_assoc=1))
+        assert report.engine.stats.misses["classify"] > 0
+        assert fetched == [STAGE_COMPILE, STAGE_SEQUENTIAL,
+                           STAGE_PROFILE, STAGE_RECORDING]
+        assert report.recording is report.engine.recording
+        assert fetched.count(STAGE_RECORDING) == 1
+
+    def test_truncated_recording_blob_reprofiles(self, tmp_path):
+        """A profile hit whose recording blob is torn, under a plan
+        miss: the blob is quarantined, the profiled stage re-runs and
+        stores both artifacts, and the replay equals a cold run's."""
+        baseline = _run(name="Huffman")
+        cache_dir = str(tmp_path)
+        _run(ArtifactCache(cache_dir), "Huffman")
+        assert truncate_stage_blobs(cache_dir, STAGE_RECORDING) == 1
+        path = _stage_blobs(cache_dir, STAGE_RECORDING)[0]
+
+        fresh = ArtifactCache(cache_dir)  # no plans in memory
+        report = _run(fresh, "Huffman")
+        assert fresh.hits[STAGE_PROFILE] == 1
+        assert fresh.corrupt == {STAGE_RECORDING: 1}
+        assert fresh.misses == {STAGE_RECORDING: 1}
+        assert fresh.hits[STAGE_ANNOTATE] == 1  # the re-profile's
+        assert os.path.exists(path + ".corrupt")
+        assert blob_stage(path) == STAGE_RECORDING  # re-stored
+        assert {lid: vars(r) for lid, r in report.tls_results.items()} \
+            == {lid: vars(r) for lid, r in baseline.tls_results.items()}
+        assert recording_digest(report.recording) == \
+            recording_digest(baseline.recording)
+        # the next new instance hits both artifacts again
+        again = ArtifactCache(cache_dir)
+        _run(again, "Huffman")
+        assert again.miss_count == 0 and again.hits[STAGE_RECORDING] == 1
+
+    def test_old_format_profile_blob_is_never_served(self, monkeypatch):
+        """A profile blob stored under the "art4" key (the 3-tuple with
+        the recording inside) must miss, never be unpacked."""
+        keys = []
+        real_key = pipeline.cache_key
+
+        def spy(stage, *parts):
+            if stage == STAGE_PROFILE:
+                keys.append(parts)
+            return real_key(stage, *parts)
+
+        monkeypatch.setattr(pipeline, "cache_key", spy)
+        filled = ArtifactCache()
+        cold = _run(filled)
+        parts = keys[-1]
+        assert parts[-1] != "art4"
+        old_key = cache_key(STAGE_PROFILE, *parts[:-1], "art4")
+
+        new_key = real_key(STAGE_PROFILE, *parts)
+        stale = ArtifactCache()
+        stale._blobs = {key: blob for key, blob in filled._blobs.items()
+                        if key != new_key}
+        stale.store(STAGE_PROFILE, old_key,
+                    (cold.profiled, cold.device, cold.recording))
+        warm = _run(stale)
+        assert stale.misses == {STAGE_PROFILE: 1}
+        for field in REPORT_FIELDS:
+            assert getattr(warm, field) == getattr(cold, field), field
+
+    def test_reports_pickle_without_the_loader(self):
+        cache = ArtifactCache()
+        _run(cache)
+        unread = _run(cache)
+        clone = pickle.loads(pickle.dumps(unread))
+        assert clone.recording is None  # never loaded: absent
+        assert clone.engine.recording is None
+        assert clone.actual_speedup == unread.actual_speedup
+
+        read = _run(cache)
+        digest = recording_digest(read.recording)
+        clone = pickle.loads(pickle.dumps(read))
+        assert recording_digest(clone.recording) == digest
+        assert clone.engine.recording is clone.recording
 
 
 #: Table 1 geometries for the plan memo: ``direct`` differs from the

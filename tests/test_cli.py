@@ -129,7 +129,7 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir",
                      str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "4 blobs" in out  # 4 pipeline stages for one workload
+        assert "5 blobs" in out  # 5 cache stages for one workload
         assert "profile" in out
 
     def test_stats_json(self, tmp_path, capsys):
@@ -140,7 +140,7 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path),
                      "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["blobs"] == 4
+        assert data["blobs"] == 5
         assert data["quarantined"] == 0
         assert set(data["stages"])  # per-stage breakdown present
 
@@ -151,7 +151,7 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir",
                      str(tmp_path)]) == 0
-        assert "4 ok, 0 corrupt" in capsys.readouterr().out
+        assert "5 ok, 0 corrupt" in capsys.readouterr().out
 
         # truncate one blob: verify detects it, quarantines it, exits 1
         victim = sorted(p for p in os.listdir(tmp_path)
@@ -187,7 +187,7 @@ class TestCacheCommand:
         assert main(["cache", "purge", "--cache-dir",
                      str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "purged 4 file(s)" in out
+        assert "purged 5 file(s)" in out
         assert not [p for p in os.listdir(tmp_path)
                     if p.endswith(".pkl")]
 
@@ -200,7 +200,7 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "purge", "--cache-dir",
                      str(tmp_path)]) == 0
-        assert "purged 5 file(s)" in capsys.readouterr().out
+        assert "purged 6 file(s)" in capsys.readouterr().out
         assert not os.path.exists(ledger)
 
     def test_purge_keep_quarantined(self, tmp_path, capsys):
@@ -217,7 +217,7 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "purge", "--cache-dir", str(tmp_path),
                      "--keep-quarantined"]) == 0
-        assert "purged 3 file(s)" in capsys.readouterr().out
+        assert "purged 4 file(s)" in capsys.readouterr().out
         assert os.path.exists(path + ".corrupt")
 
     def test_missing_directory_fails_cleanly(self, tmp_path):
@@ -250,7 +250,7 @@ class TestCacheQuarantineSweep:
         assert main(["cache", "verify", "--cache-dir",
                      str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "3 ok, 0 corrupt" in out
+        assert "4 ok, 0 corrupt" in out
         assert "from an earlier verify" in out
         assert ".pkl.corrupt" in out
 
@@ -266,9 +266,9 @@ class TestCacheQuarantineSweep:
         out = capsys.readouterr().out
         assert "purged 1 quarantined file(s)" in out
         assert not os.path.exists(quarantined)
-        # the three healthy blobs survive
+        # the four healthy blobs survive
         assert len([p for p in os.listdir(tmp_path)
-                    if p.endswith(".pkl")]) == 3
+                    if p.endswith(".pkl")]) == 4
 
 
 class TestConformCommand:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.jrpm.batch import FleetErrorRow, FleetRow, run_fleet
-from repro.jrpm.cache import STAGE_PROFILE, ArtifactCache
+from repro.jrpm.cache import STAGE_PROFILE, STAGE_RECORDING, ArtifactCache
 from repro.jrpm.executor import FleetExecutor
 from repro.jrpm.faults import FaultPlan
 from repro.workloads import get_workload
@@ -53,6 +53,23 @@ class TestParallelMatchesSerial:
         for s_row, p_row in zip(serial, parallel):
             for field in ROW_FIELDS:
                 assert getattr(s_row, field) == getattr(p_row, field), \
+                    field
+
+    def test_warm_parallel_rows_equal_cold_ones(self, sample_workloads,
+                                                tmp_path):
+        """A warm worker's replay fetches the recording its plans need
+        (a worker's cache starts with no plans); its rows match the
+        cold fleet's, which profiled."""
+        cache = ArtifactCache(directory=str(tmp_path))
+        cold = run_fleet(sample_workloads, simulate_tls=True, jobs=2,
+                         cache=cache)
+        warm = run_fleet(sample_workloads, simulate_tls=True, jobs=2,
+                         cache=cache)
+        assert warm.cache_misses == 0
+        assert warm.cache_stats[STAGE_RECORDING]["hits"] == len(SAMPLE)
+        for c_row, w_row in zip(cold, warm):
+            for field in ROW_FIELDS:
+                assert getattr(c_row, field) == getattr(w_row, field), \
                     field
 
     def test_order_is_workload_order_not_completion_order(
@@ -202,8 +219,9 @@ class TestCacheStatsPlumbing:
         assert first.cache_misses == 8  # 2 workloads x 4 stages
         second = run_fleet(sample_workloads[:2], simulate_tls=False,
                            cache=cache)
-        # the delta, not the cache's lifetime counters
-        assert second.cache_hits == 8
+        # the delta, not the cache's lifetime counters; a profile hit
+        # leaves the annotate artifact unread
+        assert second.cache_hits == 6
         assert second.cache_misses == 0
 
     def test_parallel_stats_merged_from_workers(self, sample_workloads,
@@ -214,8 +232,10 @@ class TestCacheStatsPlumbing:
         assert cold.cache_misses == 8
         warm = run_fleet(sample_workloads[:2], simulate_tls=False,
                          jobs=2, cache=cache)
-        assert warm.cache_hits == 8
+        assert warm.cache_hits == 6
         assert warm.cache_misses == 0
+        # no replay read the recording, so no row shipped it
+        assert [row.report.recording for row in warm] == [None, None]
 
     def test_no_cache_no_stats(self, sample_workloads):
         result = run_fleet(sample_workloads[:1], simulate_tls=False)

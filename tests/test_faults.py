@@ -15,9 +15,10 @@ import pytest
 from repro.jrpm import faults
 from repro.jrpm.batch import FleetErrorRow, FleetRow, run_fleet
 from repro.jrpm.cache import (
+    STAGE_ANNOTATE,
     STAGE_COMPILE,
     STAGE_PROFILE,
-    STAGES,
+    STAGE_SEQUENTIAL,
     ArtifactCache,
 )
 from repro.jrpm.executor import FleetExecutor
@@ -249,9 +250,12 @@ class TestParallelFaults:
 
 
     def test_misses_of_a_lost_worker_are_counted(self, tmp_path):
-        """On a cold cache the first attempt misses every stage, stores
-        each artifact and dies; the retry hits every stage.  The lost
-        attempt's misses still count: its ledger is on disk."""
+        """On a cold cache the first attempt misses every stage it
+        reads, stores each artifact and dies; the retry hits every
+        stage it reads.  The lost attempt's misses still count: its
+        ledger is on disk.  Without a replay neither attempt reads the
+        recording, and only the profile miss reads the annotate
+        artifact."""
         cache_dir = str(tmp_path / "cache")
         result = FleetExecutor(
             jobs=2, simulate_tls=False, cache=ArtifactCache(cache_dir),
@@ -260,8 +264,10 @@ class TestParallelFaults:
         assert [r.ok for r in result.rows] == [True]
         assert result.crash_count == 1
         assert result.cache_stats == {
-            stage: {"hits": 1, "misses": 1, "corrupt": 0}
-            for stage in STAGES}
+            STAGE_COMPILE: {"hits": 1, "misses": 1, "corrupt": 0},
+            STAGE_ANNOTATE: {"hits": 0, "misses": 1, "corrupt": 0},
+            STAGE_SEQUENTIAL: {"hits": 1, "misses": 1, "corrupt": 0},
+            STAGE_PROFILE: {"hits": 1, "misses": 1, "corrupt": 0}}
         # the ledgers are read and cleared
         assert not [n for n in os.listdir(cache_dir)
                     if n.endswith(".ledger")]
