@@ -7,16 +7,18 @@ with synchronization enabled and compares violation counts and times.
 """
 
 from repro.cfg import find_candidates
+from repro.hydra import DEFAULT_HYDRA
 from repro.jit import annotate_program, compile_stl
 from repro.runtime import ColumnarRecording, run_program
-from repro.tls import simulate_stl, split_trace
+from repro.tls import TraceEngine
 from repro.workloads import get_workload
 
 from benchmarks.conftest import banner
 
 
 def violating_stl(name):
-    """(candidate, entries) of the workload's most violating STL."""
+    """(candidate, engine, replay) of the workload's most violating
+    STL; the engine is over the workload's recording."""
     w = get_workload(name)
     program = w.compile()
     table = find_candidates(program)
@@ -24,14 +26,15 @@ def violating_stl(name):
     rec = ColumnarRecording()
     run_program(ann.program, listener=rec)
 
+    engine = TraceEngine(rec)
     worst = None
     for cand in table.candidates():
-        entries = split_trace(rec, cand.loop_id)
+        entries = engine.split(cand.loop_id)
         if not entries or sum(len(e.sizes) for e in entries) < 8:
             continue
-        res = simulate_stl(compile_stl(cand), entries)
+        res = engine.replay(compile_stl(cand), DEFAULT_HYDRA)
         if worst is None or res.violations > worst[2].violations:
-            worst = (cand, entries, res)
+            worst = (cand, engine, res)
     return worst
 
 
@@ -43,9 +46,9 @@ def test_ablation_synchronization(benchmark):
 
     results = {}
     for name in ("NumHeapSort", "BitOps"):
-        cand, entries, plain = violating_stl(name)
-        synced = simulate_stl(
-            compile_stl(cand, synchronize_heap=True), entries)
+        cand, engine, plain = violating_stl(name)
+        synced = engine.replay(
+            compile_stl(cand, synchronize_heap=True), DEFAULT_HYDRA)
         results[name] = (plain, synced)
         print("%-14s L%-5d | %10d %8.2fx | %10d %8.2fx" % (
             name, cand.loop_id, plain.violations, plain.speedup,

@@ -60,7 +60,7 @@ from repro.jrpm import ArtifactCache, Jrpm, run_fleet
 from repro.lang.codegen import compile_source
 from repro.runtime.events import ColumnarRecording
 from repro.runtime.interpreter import run_program
-from repro.tls import TraceEngine, simulate_stl, split_trace
+from repro.tls import TraceEngine, split_trace
 from repro.workloads import all_workloads, get_workload
 
 #: pre-change numbers, measured on the same single-CPU container with
@@ -283,7 +283,7 @@ def _time_analysis_sweep() -> Dict:
     for config in ANALYSIS_SWEEP:
         for lid in loops:
             comp = compile_stl(candidates.by_id[lid], config)
-            simulate_stl(comp, config=config, engine=engine)
+            engine.replay(comp, config)
     engine_s = time.perf_counter() - start
 
     return {

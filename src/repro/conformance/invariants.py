@@ -49,7 +49,6 @@ from repro.jit.annotate import AnnotationLevel, annotate_program
 from repro.jit.optimize import optimize_program
 from repro.jit.speculative import compile_stl
 from repro.lang.codegen import compile_source
-from repro.models.doacross import simulate_doacross
 from repro.runtime.events import (
     ColumnarRecording,
     MulticastListener,
@@ -57,7 +56,6 @@ from repro.runtime.events import (
 )
 from repro.runtime.interpreter import run_program
 from repro.tls.engine import TraceEngine
-from repro.tls.simulator import TraceSimulator
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
 from repro.tracer.selector import select_stls
@@ -352,8 +350,7 @@ def check_source(source: str, seed: Optional[int] = None,
         if cand is None:
             continue
         comp = compile_stl(cand, config)
-        simulator = TraceSimulator(comp, config, engine=engine)
-        tls = simulator.simulate()
+        tls = engine.replay(comp, config)
         tls_results[sel.loop_id] = tls
         outcome.tls_simulated += 1
         errs = tls.invariant_errors(config)
@@ -366,15 +363,15 @@ def check_source(source: str, seed: Optional[int] = None,
                    % (sel.loop_id, tls.sequential_cycles,
                       profiled.cycles), seed)
         # speculative-buffer limits: an overflow, if any, must land
-        # inside its thread's window (the points the simulator
-        # consumed)
-        for ov, size in simulator.overflow_points:
+        # inside its thread's window (the points the replay consumed:
+        # its plan's, a memo hit)
+        for ov, size in engine.plan(comp, config).overflow_points():
             if not 0 <= ov <= size:
                 _raise(KIND_BUFFER_LIMIT,
                        "loop %d overflow at rel %d outside thread "
                        "of %d cycles" % (sel.loop_id, ov, size), seed)
         # path 6: the same trace under the DOACROSS post/wait model
-        doa = simulate_doacross(comp, config=config, engine=engine)
+        doa = engine.replay(comp, config, post_wait=True)
         outcome.doacross_simulated += 1
         errs = doa.invariant_errors(config)
         if errs:

@@ -53,6 +53,18 @@ class HydraConfig:
     ):
         if n_cpus < 2:
             raise ValueError("a speculative CMP needs at least 2 CPUs")
+        # every replay indexes the load buffer's sets and counts the
+        # store buffer's lines, so a geometry without them is refused
+        # here, before any stage runs
+        if load_buffer_assoc < 1:
+            raise ValueError("load_buffer_assoc must be at least 1")
+        if load_buffer_lines < 1 or load_buffer_lines % load_buffer_assoc:
+            raise ValueError(
+                "load_buffer_lines (%r) must be a positive multiple of "
+                "load_buffer_assoc (%r)"
+                % (load_buffer_lines, load_buffer_assoc))
+        if store_buffer_lines < 1:
+            raise ValueError("store_buffer_lines must be at least 1")
         self.n_cpus = n_cpus
         self.load_buffer_lines = load_buffer_lines
         self.load_buffer_assoc = load_buffer_assoc

@@ -183,8 +183,7 @@ class Jrpm:
                 comp = compile_stl(cand, self.config)
                 report.compilations[sel.loop_id] = comp
                 report.tls_results[sel.loop_id] = get_model(
-                    sel.model).simulate(comp, config=self.config,
-                                        engine=engine)
+                    sel.model).simulate(comp, self.config, engine)
             report.outcome = ProgramTLSOutcome(
                 report.selection, report.tls_results)
         return report

@@ -22,7 +22,6 @@ from repro.models.doacross import (
     DoacrossModel,
     DoacrossResult,
     estimate_doacross,
-    simulate_doacross,
 )
 from repro.models.hydra_tls import HydraTLSModel
 from repro.models.sequential import SequentialModel
@@ -44,6 +43,5 @@ __all__ = [
     "DoacrossEstimate",
     "DoacrossResult",
     "estimate_doacross",
-    "simulate_doacross",
     "LiveInPredictor",
 ]

@@ -43,15 +43,15 @@ class SpeculationModel:
         ``orig_time`` and ``overflow_freq`` — report code and the
         conformance oracle consume estimates polymorphically.
 
-    ``simulate(compilation, entries=None, config=..., engine=None)``
-        Cycle-level replay of the recorded entries under this model.
-        Must return a :class:`repro.tls.simulator.TLSResult` (or a
-        subclass) so ``ProgramTLSOutcome`` and the invariant checks
-        apply unchanged.  ``engine`` is the columnar
-        :class:`repro.tls.engine.TraceEngine` when one is active;
-        with ``entries`` None the replay reads the loop's plan from
-        it (:meth:`~repro.tls.engine.TraceEngine.plan`), else it
-        plans the given entries itself.
+    ``simulate(compilation, config, engine)``
+        Cycle-level replay of the loop's recorded entries under this
+        model, through ``engine``, the columnar
+        :class:`repro.tls.engine.TraceEngine` over the profiled run's
+        recording (a speculative model times the loop's plan with
+        :meth:`~repro.tls.engine.TraceEngine.replay`).  Must return a
+        :class:`repro.tls.simulator.TLSResult` (or a subclass) so
+        ``ProgramTLSOutcome`` and the invariant checks apply
+        unchanged.
     """
 
     name = ""
@@ -60,8 +60,7 @@ class SpeculationModel:
     def estimate(self, stats, config):
         raise NotImplementedError
 
-    def simulate(self, compilation, entries=None, config=None,
-                 engine=None):
+    def simulate(self, compilation, config, engine):
         raise NotImplementedError
 
     def __repr__(self):

@@ -25,15 +25,15 @@ consequences drive the cost model:
 
 The analytic estimate (:func:`estimate_doacross`) mirrors Eq. 1's shape
 — arc-frequency-weighted inter-thread separation plus Table 2 overheads
-— and the replay is the trace simulator hydra-tls uses
-(:class:`repro.tls.simulator.TraceSimulator`) under its post/wait
-dependence policy, so the predicted-vs-actual error of this model is
-directly comparable to hydra-tls's in the conformance oracle and in
-``benchmarks/bench_models.py``.
+— and the replay is the one hydra-tls runs
+(:meth:`repro.tls.engine.TraceEngine.replay`, the same plan) under the
+post/wait dependence policy, so the predicted-vs-actual error of this
+model is directly comparable to hydra-tls's in the conformance oracle
+and in ``benchmarks/bench_models.py``.
 """
 
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
-from repro.tls.simulator import DoacrossResult, TraceSimulator
+from repro.tls.simulator import DoacrossResult
 
 from repro.models.base import SpeculationModel
 
@@ -135,15 +135,6 @@ def estimate_doacross(stats, config=DEFAULT_HYDRA):
                             orig_time, covered * arc_rate)
 
 
-def simulate_doacross(compilation, entries=None, config=DEFAULT_HYDRA,
-                      engine=None):
-    """One-call wrapper: replay all entries of one STL (the engine's
-    plan of it when ``entries`` is None) under the post/wait
-    dependence policy."""
-    return TraceSimulator(compilation, config, engine=engine,
-                          post_wait=True).simulate(entries)
-
-
 class DoacrossModel(SpeculationModel):
     name = DOACROSS_MODEL_NAME
     description = ("synchronized post/wait DOACROSS with last-value/"
@@ -152,7 +143,5 @@ class DoacrossModel(SpeculationModel):
     def estimate(self, stats, config=DEFAULT_HYDRA):
         return estimate_doacross(stats, config)
 
-    def simulate(self, compilation, entries=None, config=DEFAULT_HYDRA,
-                 engine=None):
-        return simulate_doacross(compilation, entries, config,
-                                 engine=engine)
+    def simulate(self, compilation, config, engine):
+        return engine.replay(compilation, config, post_wait=True)

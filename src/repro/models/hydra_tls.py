@@ -7,7 +7,6 @@ single-backend pipeline.
 """
 
 from repro.hydra.config import DEFAULT_HYDRA
-from repro.tls.simulator import simulate_stl
 from repro.tracer.estimator import estimate_speedup
 
 from repro.models.base import SpeculationModel
@@ -21,6 +20,5 @@ class HydraTLSModel(SpeculationModel):
     def estimate(self, stats, config=DEFAULT_HYDRA):
         return estimate_speedup(stats, config)
 
-    def simulate(self, compilation, entries=None, config=DEFAULT_HYDRA,
-                 engine=None):
-        return simulate_stl(compilation, entries, config, engine=engine)
+    def simulate(self, compilation, config, engine):
+        return engine.replay(compilation, config)

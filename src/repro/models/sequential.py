@@ -7,9 +7,8 @@ threshold — making "stay sequential" an explicit per-loop decision
 instead of an absence of one.
 """
 
-from repro.errors import SimulationError
 from repro.hydra.config import DEFAULT_HYDRA
-from repro.tls.simulator import EntryResult, TLSResult
+from repro.tls.simulator import TLSResult
 from repro.tracer.estimator import SpeedupEstimate
 
 from repro.models.base import SpeculationModel
@@ -24,20 +23,14 @@ class SequentialModel(SpeculationModel):
         return SpeedupEstimate(stats.loop_id, 1.0, 1.0, float(orig),
                                orig, 0.0)
 
-    def simulate(self, compilation, entries=None, config=DEFAULT_HYDRA,
-                 engine=None):
+    def simulate(self, compilation, config, engine):
         # One CPU, no speculation: parallel time is the measured
         # sequential time and no overheads are charged.  (The TLSResult
         # startup/shutdown floor rule does not apply here; the selector
         # never schedules this model, so conformance exercises it only
         # through the estimate path.)
-        if entries is None:
-            if engine is None:
-                raise SimulationError(
-                    "a replay without entries needs a TraceEngine")
-            entries = engine.split(compilation.loop_id)
         result = TLSResult(compilation.loop_id)
-        for entry in entries:
-            result.add(EntryResult(entry.total_cycles, entry.total_cycles,
-                                   0, 0, len(entry.sizes)))
+        for entry in engine.split(compilation.loop_id):
+            result.add(entry.total_cycles, entry.total_cycles, 0, 0,
+                       len(entry.sizes))
         return result

@@ -3,23 +3,16 @@ by actually scheduling the selected STLs' threads on the Hydra model
 (the "Actual" series of Figure 11)."""
 
 from repro.tls.engine import TraceEngine, TraceEngineStats
-from repro.tls.simulator import (
-    EntryResult,
-    TLSResult,
-    TraceSimulator,
-    simulate_stl,
-)
+from repro.tls.simulator import TLSResult, schedule
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tls.thread_trace import EntryTrace, split_trace
 
 __all__ = [
-    "EntryResult",
     "EntryTrace",
     "ProgramTLSOutcome",
     "TLSResult",
     "TraceEngine",
     "TraceEngineStats",
-    "TraceSimulator",
-    "simulate_stl",
+    "schedule",
     "split_trace",
 ]

@@ -1,5 +1,5 @@
-"""The columnar trace engine: per-loop thread windows and replay plans,
-plus observability.
+"""The columnar trace engine: per-loop thread windows, replay plans and
+the one replay route, plus observability.
 
 One :class:`TraceEngine` wraps one
 :class:`~repro.runtime.events.ColumnarRecording`, the only trace layout,
@@ -18,17 +18,17 @@ warm run whose plans all hit never unpickles it.  The engine's kernels:
   geometry shares it.  The pipeline hands the engine the plan memo the
   :class:`~repro.jrpm.cache.ArtifactCache` keeps next to the profile
   blob, so a warm run whose plans hit neither splits nor walks events;
-* the timing pass —
-  :meth:`~repro.tls.simulator.TraceSimulator.schedule`, run per model
-  and configuration over a plan.
+* ``replay(compilation, config, post_wait)`` — the timing pass
+  :func:`~repro.tls.simulator.schedule` over that plan, the replay
+  every execution model runs.
 
-:class:`TraceEngineStats` keeps the four :data:`KERNELS` phases, so the
-report's ``engine`` block keeps its shape: ``split`` books splits and
-counts split-memo hits, ``classify`` books plan builds and counts
-plan-memo hits, ``resolve`` books timing passes, and ``overflow``
-(found inside the plan build) reads 0.  The ``jrpm`` CLI prints the
-counters and ``bench_perf_pipeline`` persists them into
-``BENCH_pipeline.json``.
+Only this module books into :class:`TraceEngineStats`, which keeps the
+four :data:`KERNELS` phases, so the report's ``engine`` block keeps its
+shape: ``split`` books splits and counts split-memo hits, ``classify``
+books plan builds and counts plan-memo hits, ``resolve`` books timing
+passes, and ``overflow`` (found inside the plan build) reads 0.  The
+``jrpm`` CLI prints the counters and ``bench_perf_pipeline`` persists
+them into ``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.hydra.config import HydraConfig
 from repro.jit.speculative import STLCompilation
 from repro.runtime.events import ColumnarRecording
 from repro.tls.plan import ReplayPlan, build_plan, plan_key
+from repro.tls.simulator import TLSResult, schedule
 from repro.tls.thread_trace import EntryTrace, split_trace
 
 #: kernel names, in pipeline order
@@ -61,10 +62,6 @@ class TraceEngineStats:
         """Add one timed call of ``phase``."""
         self.seconds[phase] += seconds
         self.calls[phase] += 1
-
-    def hit_rate(self, kernel: str) -> float:
-        total = self.hits[kernel] + self.misses[kernel]
-        return self.hits[kernel] / total if total else 0.0
 
     # -- reporting -------------------------------------------------------
 
@@ -117,7 +114,7 @@ class LazyRecording:
 
 class TraceEngine:
     """Memoized thread windows and replay plans over one columnar
-    recording.
+    recording, and the replay that times them.
 
     ``recording`` is the recording itself or a :class:`LazyRecording`
     of it.  ``plans`` is the plan memo to serve from and fill (the one
@@ -180,3 +177,14 @@ class TraceEngine:
         stats.book("classify", time.perf_counter() - t0)
         self._plans[key] = plan
         return plan
+
+    def replay(self, compilation: STLCompilation, config: HydraConfig,
+               post_wait: bool = False) -> TLSResult:
+        """Time the loop's plan under ``config``: restart-on-violation
+        (Hydra TLS), or post/wait (DOACROSS) when ``post_wait`` is
+        set."""
+        plan = self.plan(compilation, config)
+        t0 = time.perf_counter()
+        result = schedule(plan, compilation, config, post_wait)
+        self.stats.book("resolve", time.perf_counter() - t0)
+        return result

@@ -148,7 +148,7 @@ def build_plan(entries: List[EntryTrace], compilation: STLCompilation,
         # frame's locals are a callee's (frame ids are unique per
         # activation), so they never carry a cross-thread arc
         frame_lo = local_address(entry.frame_id, 0)
-        frame_hi = frame_lo + 0x10000
+        frame_hi = local_address(entry.frame_id + 1, 0)
         dropped = {local_address(entry.frame_id, slot)
                    for slot in eliminated}
         #: address -> the latest earlier thread that stored it, and the

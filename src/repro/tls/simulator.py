@@ -1,10 +1,7 @@
 """Trace-driven speculative-execution simulator for Hydra (the "Actual"
 series of Figure 11).
 
-Given the thread windows of one selected STL (split from the columnar
-recording, see :mod:`repro.tls.thread_trace`) and its speculative
-compilation summary, :class:`TraceSimulator` schedules the threads over
-the CMP's ``p`` CPUs.  A replay has two passes:
+A replay of one selected STL is two pure steps:
 
 * the **plan** (:mod:`repro.tls.plan`) walks the loop's events once and
   keeps only what no timing knob can change: thread sizes, each
@@ -14,14 +11,14 @@ the CMP's ``p`` CPUs.  A replay has two passes:
   (inductors, reductions, invariants) and other frames' locals never
   conflict, and loads a thread's own store already covered never leave
   its store buffer, so none of them reaches the plan;
-* the **timing pass** (:meth:`TraceSimulator.schedule`) reads only the
-  plan, in O(threads + dependences), and is the only place ``n_cpus``,
-  the Table 2 overheads, ``synchronize_heap`` and the dependence
-  policy are read.
+* the **timing pass** (:func:`schedule`) reads only the plan, in
+  O(threads + dependences), and is the only place ``n_cpus``, the
+  Table 2 overheads, ``synchronize_heap`` and the dependence policy
+  are read.
 
-The :class:`~repro.tls.engine.TraceEngine` memoises plans, so every
-model and configuration with the same buffer geometry shares one event
-walk per loop.
+:meth:`repro.tls.engine.TraceEngine.replay` runs the two over the
+engine's memoised plan, so every model and configuration with the same
+buffer geometry shares one event walk per loop.
 
 The timing pass fixes these rules for both models:
 
@@ -49,8 +46,8 @@ The model fixes the *dependence policy* for the rest:
   producer's post.  One :class:`~repro.tls.predictor.LiveInPredictor`,
   trained across the STL's entries as the plan is built, gates local
   arcs: a correct confident prediction skips the wait, a wrong one
-  waits and pays the restart penalty on top.  Iterations commit as they go, so nothing
-  overflows.
+  waits and pays the restart penalty on top.  Iterations commit as
+  they go, so nothing overflows.
 
 Because the estimators work from *averaged* statistics while this
 simulator replays the *actual* per-iteration behaviour (thread-size
@@ -60,12 +57,10 @@ reproduces the imprecision effects of Section 6.2.
 
 from __future__ import annotations
 
-import time
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
-from repro.hydra.cache import FullyAssocBuffer, SetAssocCache
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.jit.speculative import STLCompilation
 from repro.tls.plan import (
@@ -74,24 +69,7 @@ from repro.tls.plan import (
     DEP_MISS,
     NO_OVERFLOW,
     ReplayPlan,
-    build_plan,
 )
-from repro.tls.thread_trace import EntryTrace
-
-
-class EntryResult:
-    """Timing outcome of one STL entry under TLS."""
-
-    __slots__ = ("parallel_cycles", "sequential_cycles", "violations",
-                 "overflows", "threads")
-
-    def __init__(self, parallel_cycles: int, sequential_cycles: int,
-                 violations: int, overflows: int, threads: int):
-        self.parallel_cycles = parallel_cycles
-        self.sequential_cycles = sequential_cycles
-        self.violations = violations
-        self.overflows = overflows
-        self.threads = threads
 
 
 class TLSResult:
@@ -106,12 +84,14 @@ class TLSResult:
         self.threads = 0
         self.entries = 0
 
-    def add(self, entry: EntryResult) -> None:
-        self.parallel_cycles += entry.parallel_cycles
-        self.sequential_cycles += entry.sequential_cycles
-        self.violations += entry.violations
-        self.overflows += entry.overflows
-        self.threads += entry.threads
+    def add(self, parallel_cycles: int, sequential_cycles: int,
+            violations: int, overflows: int, threads: int) -> None:
+        """Add one entry's timing outcome."""
+        self.parallel_cycles += parallel_cycles
+        self.sequential_cycles += sequential_cycles
+        self.violations += violations
+        self.overflows += overflows
+        self.threads += threads
         self.entries += 1
 
     @property
@@ -216,156 +196,106 @@ class DoacrossResult(TLSResult):
                    self.predicted_hits, self.predictions))
 
 
-class TraceSimulator:
-    """Replays one STL's threads on the CMP under one dependence policy
-    (see the module docstring).
+def schedule(plan: ReplayPlan, compilation: STLCompilation,
+             config: HydraConfig, post_wait: bool = False) -> TLSResult:
+    """The timing pass: schedule ``plan``'s threads under ``config``,
+    in O(threads + dependences).  The dependence policy is post/wait
+    (DOACROSS) when ``post_wait`` is set, else restart-on-violation
+    (Hydra TLS)."""
+    loop_id = compilation.loop_id
+    result = DoacrossResult(loop_id) if post_wait \
+        else TLSResult(loop_id)
+    p = config.n_cpus
+    comm = config.store_load_comm_overhead
+    restart = config.violation_restart_overhead
+    eoi = config.eoi_overhead
+    # post/wait waits on every heap arc; restart-on-violation does
+    # only under the Section 6.3 synchronization optimization
+    wait_heap = post_wait or compilation.synchronize_heap
+    # post/wait commits iterations as they go: nothing overflows
+    overflow = [NO_OVERFLOW] * len(plan.sizes) if post_wait \
+        else plan.overflow
+    #: each thread's start time so far, and the time each overflowed
+    #: thread resumed as head
+    started: List[int] = []
+    resumed: Dict[int, int] = {}
+    threads = zip(plan.sizes, overflow, plan.dep_counts)
+    deps = zip(plan.load_rel, plan.producer, plan.store_rel,
+               plan.kinds)
 
-    With ``engine`` attached (a :class:`~repro.tls.engine.TraceEngine`
-    over the columnar recording the entries were split from), the plan
-    build is booked under the engine's ``classify`` phase and the
-    timing pass under ``resolve``.
-    """
+    for total, n in zip(plan.entry_cycles, plan.entry_threads):
+        if n == 0:
+            result.add(0, total, 0, 0, 0)
+            continue
+        cpu_free = [0] * p
+        commit_prev = 0
+        prev_start = config.startup_overhead  # loop startup first
+        violations = overflows = posts = hits = 0
 
-    def __init__(self, compilation: STLCompilation,
-                 config: HydraConfig = DEFAULT_HYDRA,
-                 engine=None, post_wait: bool = False):
-        self.compilation = compilation
-        self.config = config
-        self.engine = engine
-        #: dependence policy: post/wait (DOACROSS) when set, else
-        #: restart-on-violation (Hydra TLS)
-        self.post_wait = post_wait
-        # both policies' plans find overflows in the Table 1 buffers,
-        # so reject a malformed geometry up front, as the buffer models
-        # of repro.hydra.cache do
-        SetAssocCache(config.load_buffer_lines, config.load_buffer_assoc)
-        FullyAssocBuffer(config.store_buffer_lines)
-        #: ``(overflow rel, thread size)`` of every thread that
-        #: overflowed during the last :meth:`simulate`
-        self.overflow_points: List[Tuple[int, int]] = []
-
-    def simulate(self, entries: Optional[List[EntryTrace]] = None
-                 ) -> TLSResult:
-        """Replay every entry of the STL: build the plan of ``entries``
-        (or, when None, take the plan the engine serves for this loop),
-        then time it."""
-        engine = self.engine
-        if entries is None:
-            if engine is None:
-                raise SimulationError(
-                    "a replay without entries needs a TraceEngine")
-            plan = engine.plan(self.compilation, self.config)
-        else:
-            t0 = time.perf_counter()
-            plan = build_plan(entries, self.compilation, self.config)
-            if engine is not None:
-                engine.stats.book("classify", time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        result = self.schedule(plan)
-        if engine is not None:
-            engine.stats.book("resolve", time.perf_counter() - t0)
-        return result
-
-    def schedule(self, plan: ReplayPlan) -> TLSResult:
-        """The timing pass: schedule the plan's threads under this
-        simulator's config and policy, in O(threads + dependences)."""
-        cfg = self.config
-        post_wait = self.post_wait
-        loop_id = self.compilation.loop_id
-        result = DoacrossResult(loop_id) if post_wait \
-            else TLSResult(loop_id)
-        p = cfg.n_cpus
-        comm = cfg.store_load_comm_overhead
-        restart = cfg.violation_restart_overhead
-        eoi = cfg.eoi_overhead
-        # post/wait waits on every heap arc; restart-on-violation does
-        # only under the Section 6.3 synchronization optimization
-        wait_heap = post_wait or self.compilation.synchronize_heap
-        # post/wait commits iterations as they go: nothing overflows
-        overflow = [NO_OVERFLOW] * len(plan.sizes) if post_wait \
-            else plan.overflow
-        self.overflow_points = [] if post_wait else plan.overflow_points()
-        #: each thread's start time so far, and the time each overflowed
-        #: thread resumed as head
-        started: List[int] = []
-        resumed: Dict[int, int] = {}
-        threads = zip(plan.sizes, overflow, plan.dep_counts)
-        deps = zip(plan.load_rel, plan.producer, plan.store_rel,
-                   plan.kinds)
-
-        for total, n in zip(plan.entry_cycles, plan.entry_threads):
-            if n == 0:
-                result.add(EntryResult(0, total, 0, 0, 0))
-                continue
-            cpu_free = [0] * p
-            commit_prev = 0
-            prev_start = cfg.startup_overhead  # loop startup first
-            violations = overflows = posts = hits = 0
-
-            for j, (size, ov, count) in enumerate(islice(threads, n)):
-                start = cpu_free[j % p]
-                if prev_start > start:
-                    start = prev_start
-                heap_deps = []
-                for load, k, store, kind in islice(deps, count):
-                    # the producer's stores after its overflow point
-                    # only drained once it resumed as head
-                    k_ov = overflow[k]
-                    if 0 <= k_ov < store:
-                        store_abs = resumed[k] + (store - k_ov)
-                    else:
-                        store_abs = started[k] + store
-                    if kind == DEP_HEAP:
-                        if not wait_heap:
-                            heap_deps.append((load, store_abs))
-                            continue
-                        posts += 1
-                    elif post_wait:
-                        # a confident live-in prediction skips the wait
-                        # when right, and waits and restarts from the
-                        # load when wrong
-                        if kind == DEP_HIT:
-                            hits += 1
-                            continue
-                        if kind == DEP_MISS:
-                            violations += 1
-                            store_abs += restart
-                        else:
-                            posts += 1
-                    # wait for the producer's store plus the store-load
-                    # communication delay
-                    need = store_abs + comm - load
-                    if need > start:
-                        start = need
-                if heap_deps:
-                    start, restarts = _restart(start, heap_deps, restart)
-                    violations += restarts
-
-                if ov == NO_OVERFLOW:
-                    finish = start + size + eoi
+        for j, (size, ov, count) in enumerate(islice(threads, n)):
+            start = cpu_free[j % p]
+            if prev_start > start:
+                start = prev_start
+            heap_deps = []
+            for load, k, store, kind in islice(deps, count):
+                # the producer's stores after its overflow point
+                # only drained once it resumed as head
+                k_ov = overflow[k]
+                if 0 <= k_ov < store:
+                    store_abs = resumed[k] + (store - k_ov)
                 else:
-                    # stall at the overflow point until head, then drain
-                    overflows += 1
-                    resume = resumed[len(started)] = max(start + ov,
-                                                         commit_prev)
-                    finish = resume + (size - ov) + eoi
-                started.append(start)
-                if finish > commit_prev:
-                    commit_prev = finish
-                cpu_free[j % p] = commit_prev
-                prev_start = start
+                    store_abs = started[k] + store
+                if kind == DEP_HEAP:
+                    if not wait_heap:
+                        heap_deps.append((load, store_abs))
+                        continue
+                    posts += 1
+                elif post_wait:
+                    # a confident live-in prediction skips the wait
+                    # when right, and waits and restarts from the
+                    # load when wrong
+                    if kind == DEP_HIT:
+                        hits += 1
+                        continue
+                    if kind == DEP_MISS:
+                        violations += 1
+                        store_abs += restart
+                    else:
+                        posts += 1
+                # wait for the producer's store plus the store-load
+                # communication delay
+                need = store_abs + comm - load
+                if need > start:
+                    start = need
+            if heap_deps:
+                start, restarts = _restart(start, heap_deps, restart)
+                violations += restarts
 
-            result.add(EntryResult(commit_prev + cfg.shutdown_overhead,
-                                   total, violations, overflows, n))
-            if post_wait:
-                # consumption-side books: a prediction counts when a
-                # waiter used it, and every post/wait violation is a
-                # misprediction, so violations == predictions - hits by
-                # construction
-                result.predictions += hits + violations
-                result.predicted_hits += hits
-                result.posts += posts
-        return result
+            if ov == NO_OVERFLOW:
+                finish = start + size + eoi
+            else:
+                # stall at the overflow point until head, then drain
+                overflows += 1
+                resume = resumed[len(started)] = max(start + ov,
+                                                     commit_prev)
+                finish = resume + (size - ov) + eoi
+            started.append(start)
+            if finish > commit_prev:
+                commit_prev = finish
+            cpu_free[j % p] = commit_prev
+            prev_start = start
+
+        result.add(commit_prev + config.shutdown_overhead, total,
+                   violations, overflows, n)
+        if post_wait:
+            # consumption-side books: a prediction counts when a
+            # waiter used it, and every post/wait violation is a
+            # misprediction, so violations == predictions - hits by
+            # construction
+            result.predictions += hits + violations
+            result.predicted_hits += hits
+            result.posts += posts
+    return result
 
 
 def _restart(start: int, heap_deps: List[Tuple[int, int]],
@@ -390,13 +320,3 @@ def _restart(start: int, heap_deps: List[Tuple[int, int]],
     raise SimulationError(  # pragma: no cover - safety net
         "violation resolution did not converge")
 
-
-def simulate_stl(compilation: STLCompilation,
-                 entries: Optional[List[EntryTrace]] = None,
-                 config: HydraConfig = DEFAULT_HYDRA,
-                 engine=None) -> TLSResult:
-    """One-call wrapper: replay all entries of one selected STL (the
-    engine's plan of it when ``entries`` is None) under the
-    restart-on-violation (Hydra TLS) dependence policy."""
-    return TraceSimulator(compilation, config, engine=engine) \
-        .simulate(entries)

@@ -8,10 +8,12 @@ import os
 import pytest
 
 from repro.conformance.campaign import DEFAULT_FUZZ_SEED
+from repro.hydra import DEFAULT_HYDRA
 from repro.jrpm import Jrpm
 from repro.lang import compile_source
 from repro.runtime.events import ColumnarRecording, local_slot
-from repro.tls import split_trace
+from repro.tls import schedule, split_trace
+from repro.tls.plan import build_plan
 
 HERE = os.path.dirname(__file__)
 
@@ -165,6 +167,13 @@ def columnar_entry(threads, frame_id=0):
     rec.on_eloop(0, start)
     [entry] = split_trace(rec, 0)
     return entry
+
+
+def replay(entries, compilation, config=DEFAULT_HYDRA, post_wait=False):
+    """Replay hand-built ``entries``: plan them, then time the plan
+    (restart-on-violation, or post/wait when ``post_wait`` is set)."""
+    return schedule(build_plan(entries, compilation, config), compilation,
+                    config, post_wait)
 
 
 @pytest.fixture(scope="session")

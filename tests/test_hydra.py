@@ -47,6 +47,13 @@ class TestConfig:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             HydraConfig(n_cpus=1)
+        # a buffer geometry no replay can index is refused up front
+        for geometry in ({"load_buffer_assoc": 0},
+                         {"load_buffer_lines": 2, "load_buffer_assoc": 4},
+                         {"load_buffer_lines": 0},
+                         {"store_buffer_lines": 0}):
+            with pytest.raises(ValueError):
+                HydraConfig(**geometry)
         # the line size is the simulator-wide LINE_SIZE, not a knob
         with pytest.raises(TypeError):
             HydraConfig(line_size=64)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.hydra import HydraConfig
 from repro.jit.speculative import STLCompilation
 from repro.jrpm import Jrpm
@@ -21,15 +20,11 @@ from repro.models import (
     resolve_models,
 )
 from repro.models.base import SpeculationModel
-from repro.models.doacross import (
-    DoacrossResult,
-    estimate_doacross,
-    simulate_doacross,
-)
+from repro.models.doacross import DoacrossResult, estimate_doacross
 from repro.tls.predictor import LiveInPredictor
 from repro.runtime.events import local_address
 
-from tests.conftest import columnar_entry as entry
+from tests.conftest import columnar_entry as entry, replay
 
 CONFIG = HydraConfig()
 
@@ -95,12 +90,6 @@ class TestRegistry:
     def test_resolve_unknown_raises(self):
         with pytest.raises(KeyError):
             resolve_models("hydra-tls,warp-speed")
-
-    @pytest.mark.parametrize("name", ["sequential", "hydra-tls",
-                                      "doacross"])
-    def test_replay_without_entries_or_engine_raises(self, name):
-        with pytest.raises(SimulationError, match="needs a TraceEngine"):
-            get_model(name).simulate(dummy_compilation())
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +238,7 @@ def _arcless_entry(n=4, size=100):
 class TestDoacrossSimulator:
     def test_arcless_entry_runs_parallel(self):
         comp = dummy_compilation()
-        res = simulate_doacross(comp, [_arcless_entry()], CONFIG)
+        res = replay([_arcless_entry()], comp, CONFIG, post_wait=True)
         assert isinstance(res, DoacrossResult)
         assert res.model == "doacross"
         assert (res.posts, res.predictions, res.violations) == (0, 0, 0)
@@ -259,12 +248,12 @@ class TestDoacrossSimulator:
 
     def test_heap_arc_posts_and_waits(self):
         comp = dummy_compilation()
-        free = simulate_doacross(comp, [_arcless_entry(2, 100)], CONFIG)
+        free = replay([_arcless_entry(2, 100)], comp, CONFIG, post_wait=True)
         # thread 0 stores the heap address late, thread 1 loads it
         # early: the consumer must wait for the post
         arc = entry([(100, [(90, "st", 4096)]),
                      (100, [(2, "ld", 4096)])])
-        synced = simulate_doacross(comp, [arc], CONFIG)
+        synced = replay([arc], comp, CONFIG, post_wait=True)
         assert synced.posts == 1
         assert synced.predictions == 0
         assert synced.parallel_cycles > free.parallel_cycles
@@ -277,7 +266,7 @@ class TestDoacrossSimulator:
         # the predictor covers once warm
         threads = [(50, [(1, "lld", LOCAL), (40, "lst", LOCAL)])
                    for _ in range(10)]
-        res = simulate_doacross(comp, [entry(threads)], CONFIG)
+        res = replay([entry(threads)], comp, CONFIG, post_wait=True)
         # threads 1-3 consume unwarmed stores (posts); from thread 4 on
         # every load rides a correct prediction
         assert res.posts == 3
@@ -295,7 +284,7 @@ class TestDoacrossSimulator:
                    for _ in range(5)]
         threads.append((50, [(1, "lld", LOCAL), (45, "lst", LOCAL)]))
         threads.append((50, [(1, "lld", LOCAL), (45, "lst", LOCAL)]))
-        res = simulate_doacross(comp, [entry(threads)], CONFIG)
+        res = replay([entry(threads)], comp, CONFIG, post_wait=True)
         assert res.violations >= 1
         assert res.violations == res.predictions - res.predicted_hits
         assert res.invariant_errors(CONFIG) == []
@@ -307,7 +296,7 @@ class TestDoacrossSimulator:
         cfg = HydraConfig(store_buffer_lines=2)
         threads = [(200, [(i, "st", 8192 + 64 * i) for i in range(64)])
                    for _ in range(4)]
-        res = simulate_doacross(comp, [entry(threads)], cfg)
+        res = replay([entry(threads)], comp, cfg, post_wait=True)
         assert res.overflows == 0
         assert res.invariant_errors(cfg) == []
 
@@ -317,8 +306,8 @@ class TestDoacrossSimulator:
                          (40, "lst", LOCAL), (45, "st", 4096)])
                    for _ in range(8)]
         entries = [entry(threads), entry(threads[:3])]
-        a = simulate_doacross(comp, entries, CONFIG)
-        b = simulate_doacross(comp, entries, CONFIG)
+        a = replay(entries, comp, CONFIG, post_wait=True)
+        b = replay(entries, comp, CONFIG, post_wait=True)
         assert (a.parallel_cycles, a.posts, a.predictions,
                 a.predicted_hits, a.violations) \
             == (b.parallel_cycles, b.posts, b.predictions,
@@ -330,8 +319,8 @@ class TestDoacrossSimulator:
         # entry 1's training, so it posts less and predicts more
         threads = [(50, [(1, "lld", LOCAL), (40, "lst", LOCAL)])
                    for _ in range(6)]
-        one = simulate_doacross(comp, [entry(threads)], CONFIG)
-        two = simulate_doacross(comp, [entry(threads)] * 2, CONFIG)
+        one = replay([entry(threads)], comp, CONFIG, post_wait=True)
+        two = replay([entry(threads)] * 2, comp, CONFIG, post_wait=True)
         assert two.predictions > 2 * one.predictions - 1
         assert two.posts < 2 * one.posts
 

@@ -1,11 +1,11 @@
 """The replay's first-overflow count against the Table 1 buffer models.
 
-:class:`~repro.tls.simulator.TraceSimulator` finds a thread's first
-speculative-buffer overflow by counting distinct lines per load-buffer
-set and distinct store-buffer lines.  The LRU occupancy models in
-:mod:`repro.hydra.cache` are the reference: for any access sequence and
-any buffer geometry, the overflow the replay consumes must sit at the
-first access either model reports as overflowing.
+The replay plan (:func:`~repro.tls.plan.build_plan`) finds a thread's
+first speculative-buffer overflow by counting distinct lines per
+load-buffer set and distinct store-buffer lines.  The LRU occupancy
+models in :mod:`repro.hydra.cache` are the reference: for any access
+sequence and any buffer geometry, the overflow the replay consumes
+must sit at the first access either model reports as overflowing.
 """
 
 from hypothesis import given, settings
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from repro.hydra import FullyAssocBuffer, HydraConfig, SetAssocCache
 from repro.jit.speculative import STLCompilation
 from repro.runtime.heap import LINE_SIZE
-from repro.tls import TraceSimulator
+from repro.tls.plan import build_plan
 
-from tests.conftest import columnar_entry
+from tests.conftest import columnar_entry, replay
 
 
 class _Candidate:
@@ -62,13 +62,12 @@ def one_thread(seq):
 
 
 def replayed_overflow(entries, config):
-    simulator = TraceSimulator(STLCompilation(_Candidate(), config),
-                               config)
-    result = simulator.simulate(entries)
-    assert result.overflows == len(simulator.overflow_points) <= 1
-    if not simulator.overflow_points:
+    comp = STLCompilation(_Candidate(), config)
+    points = build_plan(entries, comp, config).overflow_points()
+    assert replay(entries, comp, config).overflows == len(points) <= 1
+    if not points:
         return None
-    [(rel, size)] = simulator.overflow_points
+    [(rel, size)] = points
     assert 0 <= rel < size
     return rel
 

@@ -15,7 +15,8 @@ the splitter that moves any program's profile shows up here by name.
 replay of a six-configuration selection sweep: under each
 :data:`SWEEP` configuration, every loop Eq. 2 selects (``models="all"``)
 is replayed under both speculative models, and every result field plus
-the hydra-tls simulator's ``overflow_points`` goes into the digest.
+the hydra-tls replay's ``overflow_points`` (its plan's) goes into the
+digest.
 
 Regenerate the fixtures only when such a change is intended::
 
@@ -33,7 +34,7 @@ from repro.jit import compile_stl
 from repro.jrpm import Jrpm
 from repro.models import get_model
 from repro.runtime.events import ColumnarRecording
-from repro.tls import TraceEngine, TraceSimulator, split_trace
+from repro.tls import TraceEngine, split_trace
 from repro.tracer import select_stls
 from repro.workloads import all_workloads
 
@@ -104,14 +105,10 @@ def sweep_replay_digest(report):
         for lid in selection.selected_ids():
             comp = compile_stl(report.candidates.by_id[lid], config)
             for model in MODELS:
-                result = get_model(model).simulate(
-                    comp, engine.split(lid), config, engine=engine)
+                result = get_model(model).simulate(comp, config, engine)
                 points = []
                 if model == "hydra-tls":
-                    simulator = TraceSimulator(comp, config,
-                                               engine=engine)
-                    simulator.simulate(engine.split(lid))
-                    points = simulator.overflow_points
+                    points = engine.plan(comp, config).overflow_points()
                 replays.append((n_cpus, restart, lid, model,
                                 sorted(vars(result).items()),
                                 [list(p) for p in points]))

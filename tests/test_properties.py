@@ -16,7 +16,6 @@ from repro.lang import compile_source, parse, tokenize
 from repro.lang.tokens import TokKind
 from repro.runtime import run_program
 from repro.runtime.values import apply_binop, java_div, java_mod
-from repro.tls import simulate_stl
 from repro.tracer import (
     StoreTimestampFIFO,
     arc_limited_speedup,
@@ -24,7 +23,7 @@ from repro.tracer import (
 )
 from repro.tracer.stats import STLStats
 
-from tests.conftest import columnar_entry
+from tests.conftest import columnar_entry, replay
 
 # ---------------------------------------------------------------- lexer
 
@@ -226,7 +225,7 @@ def test_tls_independent_threads_bounds(sizes):
     from tests.test_tls import dummy_compilation
 
     entry = columnar_entry([(size, []) for size in sizes])
-    res = simulate_stl(dummy_compilation(), [entry])
+    res = replay([entry], dummy_compilation())
     config = HydraConfig()
     assert res.violations == 0
     assert res.parallel_cycles >= max(sizes)
@@ -251,6 +250,6 @@ def test_tls_dependencies_never_break_causality(pairs):
         events.sort(key=lambda e: e[0])
         threads.append((100, events))
     entry = columnar_entry(threads)
-    res = simulate_stl(dummy_compilation(), [entry])
+    res = replay([entry], dummy_compilation())
     assert res.parallel_cycles > 0
     assert res.violations >= 0

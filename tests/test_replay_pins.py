@@ -2,7 +2,7 @@
 the two test-suite nests, replayed under both speculative models, must
 reproduce the committed ``vars()`` of its result exactly; a hydra-tls
 replay must also reproduce the ``(overflow rel, thread size)`` points
-its simulator reports in ``overflow_points``.
+of the plan it timed (``ReplayPlan.overflow_points``).
 
 The fixture covers TLS violations (deltaBlue, BitOps), TLS buffer
 overflows (BitOps under the small configuration), DOACROSS live-in
@@ -24,7 +24,7 @@ from repro.hydra import DEFAULT_HYDRA, HydraConfig
 from repro.jit import compile_stl
 from repro.jrpm import Jrpm
 from repro.models import get_model
-from repro.tls import TraceEngine, TraceSimulator
+from repro.tls import TraceEngine
 from repro.workloads.registry import get_workload
 
 from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
@@ -46,7 +46,7 @@ CONFIGS = {
 def replay_all():
     """``{workload/L<id>/model/config/sync=<bool>: vars(result)}`` for
     every selected loop of :data:`WORKLOADS` and :data:`SOURCES` under
-    ``models="all"``; a hydra-tls entry also holds the simulator's
+    ``models="all"``; a hydra-tls entry also holds its plan's
     ``overflow_points``."""
     sources = {name: get_workload(name).source() for name in WORKLOADS}
     sources.update(SOURCES)
@@ -63,24 +63,15 @@ def replay_all():
                                        synchronize_heap=sync)
                     for model in MODELS:
                         result = get_model(model).simulate(
-                            comp, engine.split(lid), config,
-                            engine=engine)
+                            comp, config, engine)
                         key = "%s/L%d/%s/%s/sync=%s" % (
                             name, lid, model, cname, sync)
                         pins[key] = vars(result)
                         if model == "hydra-tls":
-                            pins[key]["overflow_points"] = \
-                                overflow_points(comp, config, engine,
-                                                lid)
+                            pins[key]["overflow_points"] = [
+                                list(point) for point in engine.plan(
+                                    comp, config).overflow_points()]
     return pins
-
-
-def overflow_points(comp, config, engine, lid):
-    """The hydra-tls simulator's ``overflow_points`` for one loop, as
-    JSON lists."""
-    simulator = TraceSimulator(comp, config, engine=engine)
-    simulator.simulate(engine.split(lid))
-    return [list(point) for point in simulator.overflow_points]
 
 
 @pytest.fixture(scope="module")

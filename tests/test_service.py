@@ -144,6 +144,11 @@ class TestProtocol:
          "must be a number"),
         (_body(workload="Huffman", config={"n_cpus": 1}),
          "invalid config"),
+        (_body(workload="Huffman", config={"load_buffer_lines": 2,
+                                           "load_buffer_assoc": 4}),
+         "invalid config"),
+        (_body(workload="Huffman", config={"store_buffer_lines": 0}),
+         "invalid config"),
         (_body(workload="Huffman", stages=["zzz"]), "unknown stage"),
         (_body(workload="Huffman", stages="tls"), "list"),
         (_body(workload="Huffman", level="zzz"), "unknown level"),

