@@ -18,7 +18,7 @@ speedups, not the estimates.
 
 Standalone::
 
-    PYTHONPATH=src python benchmarks/bench_models.py [--quick]
+    PYTHONPATH=src:. python benchmarks/bench_models.py [--quick]
 
 ``--quick`` shrinks the fleet to three workloads so CI can smoke-test
 the harness in seconds; the committed BENCH_models.json comes from a

@@ -168,7 +168,12 @@ def _fake_report(name: str) -> Dict[str, Any]:
             "predicted_vs_actual": None, "engine": None,
             "trace_jit": None, "optimize_stats": None,
             "models": {"requested": ["hydra-tls"],
-                       "selected_counts": {}, "per_loop": []}}
+                       "selected_counts": {}, "per_loop": []},
+            "characteristics": {"loop_count": 0, "dynamic_depth": 0,
+                                "selected_count": 0,
+                                "avg_selected_height": 0.0,
+                                "threads_per_entry": 0.0,
+                                "thread_size": 0.0}}
 
 
 def _load_body(i: int) -> Dict[str, Any]:

@@ -20,7 +20,7 @@ gate enforces.
 
 Standalone::
 
-    PYTHONPATH=src python benchmarks/bench_synth.py [--quick]
+    PYTHONPATH=src:. python benchmarks/bench_synth.py [--quick]
 
 ``--quick`` runs 2 instances per family so CI can smoke-test the
 harness in seconds; the committed BENCH_synth.json comes from a full

@@ -10,42 +10,26 @@ IDEA / EmFloatPnt / FourierTest, fine threads for moldyn / NeuralNet,
 and selected heights above the innermost level on average.
 """
 
-from repro.workloads import all_workloads, get_workload
+from repro.jrpm.report import report_to_dict
+from repro.workloads import get_workload
 
 from benchmarks.conftest import banner
 
 
 def _row(name, report):
     w = get_workload(name)
-    table = report.candidates
-    sel = report.selection
-    significant = sel.significant()
-    heights, sizes, tpe, weights = [], [], [], []
-    for s in significant:
-        cand = table.by_id.get(s.loop_id)
-        if cand is None:
-            continue
-        heights.append(cand.loop.height1())
-        sizes.append(s.stats.avg_thread_size)
-        tpe.append(s.stats.avg_iters_per_entry)
-        weights.append(s.stats.cycles)
-    total_w = sum(weights) or 1
-
-    def wavg(vals):
-        return sum(v * w for v, w in zip(vals, weights)) / total_w \
-            if vals else 0.0
-
+    columns = report_to_dict(report)["characteristics"]
     return {
         "name": name,
         "dataset": w.dataset,
         "analyzable": "Y" if w.analyzable else "N",
         "sensitive": "Y" if w.data_sensitive else "N",
-        "loops": table.loop_count,
-        "depth": report.device.max_dynamic_depth(),
-        "selected": len(significant),
-        "height": sum(heights) / len(heights) if heights else 0.0,
-        "threads_per_entry": wavg(tpe),
-        "size": wavg(sizes),
+        "loops": columns["loop_count"],
+        "depth": columns["dynamic_depth"],
+        "selected": columns["selected_count"],
+        "height": columns["avg_selected_height"],
+        "threads_per_entry": columns["threads_per_entry"],
+        "size": columns["thread_size"],
     }
 
 

@@ -8,87 +8,27 @@ benches (and downstream users sweeping configurations) can consume.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.errors import PipelineError
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.jrpm.cache import ArtifactCache
 from repro.jrpm.faults import FaultPlan
-from repro.jrpm.pipeline import Jrpm, JrpmReport
-from repro.workloads.registry import Workload, all_workloads
+from repro.workloads.registry import Workload
 
 
-class CharacteristicsRow:
-    """One report's Table 6 TEST-analysis columns (the fleet table and
-    :func:`~repro.jrpm.report.render_characteristics_row` both read
-    them here)."""
+class FleetRow:
+    """One benchmark's Table 6 / Fig 10 / Fig 11 numbers.
 
-    def __init__(self, report: JrpmReport):
-        self.report = report
-
-    @property
-    def loop_count(self) -> int:
-        return self.report.candidates.loop_count
-
-    @property
-    def dynamic_depth(self) -> int:
-        return self.report.device.max_dynamic_depth()
-
-    @property
-    def selected_count(self) -> int:
-        """Selected loops with > 0.5% coverage (Table 6 column e)."""
-        return len(self.report.selection.significant())
-
-    @property
-    def avg_selected_height(self) -> float:
-        """1-based loop heights of significant STLs (column f).
-
-        Every selected ``loop_id`` originates from the candidate
-        table, so a missing entry means the report is internally
-        inconsistent (e.g. a stale cache artifact); silently dropping
-        it would skew the Table 6 average, so it raises instead.
-        """
-        table = self.report.candidates
-        missing = [s.loop_id
-                   for s in self.report.selection.significant()
-                   if s.loop_id not in table.by_id]
-        if missing:
-            raise PipelineError(
-                "selection for %r references loop ids %r absent from "
-                "the candidate table — inconsistent report artifacts"
-                % (self.report.name, sorted(missing)))
-        heights = [table.by_id[s.loop_id].loop.height1()
-                   for s in self.report.selection.significant()]
-        return sum(heights) / len(heights) if heights else 0.0
-
-    def _weighted(self, value_fn) -> float:
-        sig = self.report.selection.significant()
-        weights = [s.stats.cycles for s in sig]
-        total = sum(weights)
-        if not total:
-            return 0.0
-        return sum(value_fn(s) * w for s, w in zip(sig, weights)) / total
-
-    @property
-    def threads_per_entry(self) -> float:
-        """Coverage-weighted iterations per entry (column g)."""
-        return self._weighted(lambda s: s.stats.avg_iters_per_entry)
-
-    @property
-    def thread_size(self) -> float:
-        """Coverage-weighted thread size in cycles (column h)."""
-        return self._weighted(lambda s: s.stats.avg_thread_size)
-
-
-class FleetRow(CharacteristicsRow):
-    """One benchmark's Table 6 / Fig 10 / Fig 11 numbers."""
+    ``report`` is the run's canonical report dict
+    (:func:`~repro.jrpm.report.report_to_dict`), built where the run
+    ran, so a row crossing the pool carries numbers, not the run."""
 
     #: this row carries a report (vs. a failure); aggregates filter on it
     ok = True
 
-    def __init__(self, workload: Workload, report: JrpmReport):
-        super().__init__(report)
+    def __init__(self, workload: Workload, report: Dict[str, Any]):
         self.workload = workload
+        self.report = report
 
     @property
     def name(self) -> str:
@@ -98,19 +38,17 @@ class FleetRow(CharacteristicsRow):
 
     @property
     def slowdown(self) -> float:
-        return self.report.profiling_slowdown
-
-    @property
-    def coverage(self) -> float:
-        return self.report.coverage
+        return self.report["profiling_slowdown"]
 
     @property
     def predicted_speedup(self) -> float:
-        return self.report.predicted_speedup
+        return self.report["predicted_speedup"]
 
     @property
     def actual_speedup(self) -> float:
-        return self.report.actual_speedup
+        """1.0 when TLS was not simulated, as on the report object."""
+        actual = self.report["actual_speedup"]
+        return 1.0 if actual is None else actual
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<FleetRow %s pred=%.2f act=%.2f>" % (
@@ -237,11 +175,12 @@ class FleetResult:
             if not r.ok:
                 lines.append("%-14s FAILED: %s" % (r.name, r.error))
                 continue
+            c = r.report["characteristics"]
             lines.append(
                 "%-14s %5d %5d %4d %6.1f %10.0f %9.0f %7.2fx %7.2fx"
-                % (r.name, r.loop_count, r.dynamic_depth,
-                   r.selected_count, r.avg_selected_height,
-                   r.threads_per_entry, r.thread_size,
+                % (r.name, c["loop_count"], c["dynamic_depth"],
+                   c["selected_count"], c["avg_selected_height"],
+                   c["threads_per_entry"], c["thread_size"],
                    r.predicted_speedup, r.actual_speedup))
         return "\n".join(lines)
 

@@ -87,6 +87,7 @@ from repro.jrpm.cache import (
 )
 from repro.jrpm.faults import FaultPlan
 from repro.jrpm.pipeline import Jrpm
+from repro.jrpm.report import report_to_dict
 from repro.workloads.registry import Workload, all_workloads
 
 #: per-process fleet-run serial: with the pid it names each run's
@@ -100,7 +101,8 @@ def _attempt(workload: Workload, config: HydraConfig,
              jrpm_kwargs: Dict, in_worker: bool):
     """One attempt at one workload, serial or in a pool worker: fire
     the fault plan's pre-run faults, then run ``task`` or the Jrpm
-    pipeline.  Returns the row; raises what the attempt raised."""
+    pipeline, whose row carries the run's canonical report dict.
+    Returns the row; raises what the attempt raised."""
     from repro.jrpm.batch import FleetRow
 
     kwargs = dict(jrpm_kwargs)
@@ -115,7 +117,8 @@ def _attempt(workload: Workload, config: HydraConfig,
                     cache=cache, **kwargs)
     jrpm = Jrpm(source=workload.source(), name=workload.name,
                 config=config, cache=cache, **kwargs)
-    return FleetRow(workload, jrpm.run(simulate_tls=simulate_tls))
+    return FleetRow(workload,
+                    report_to_dict(jrpm.run(simulate_tls=simulate_tls)))
 
 
 def _execute_workload(payload: Tuple) -> Tuple:

@@ -80,8 +80,7 @@ class JrpmReport:
     def recording(self) -> Optional[ColumnarRecording]:
         """The ColumnarRecording of the profiled run; sweeps can replay
         it without re-profiling.  From a cached profile it is fetched
-        on first access; a pickled report carries it only if it was
-        loaded before pickling (else this reads None)."""
+        on first access."""
         return self._recording.get()
 
     # -- headline numbers -------------------------------------------------
@@ -346,7 +345,7 @@ class Jrpm:
         # the convergence callback is a bound method of the runtime,
         # which holds the whole interpreter (and with it any linked
         # trace-JIT superblocks) — drop it now that profiling is over
-        # so reports stay picklable across the fleet's process boundary
+        # so the device pickles into the profile artifact
         device.on_converged = None
         if cache is not None:
             cache.store(STAGE_PROFILE, pkey, (profiled, device))

@@ -10,7 +10,7 @@ import json
 import math
 from typing import Any, Dict, List, Optional
 
-from repro.jrpm.batch import CharacteristicsRow
+from repro.errors import PipelineError
 from repro.jrpm.pipeline import JrpmReport
 
 
@@ -139,14 +139,54 @@ def render_optimize_stats(report: JrpmReport) -> str:
     return "\n".join(lines)
 
 
+def characteristics(report: JrpmReport) -> Dict[str, Any]:
+    """This program's Table 6 TEST-analysis columns: loop count (c),
+    executed loop depth (d), selected loops with > 0.5% coverage (e),
+    their average 1-based height (f), and the coverage-weighted
+    iterations per entry (g) and thread size in cycles (h).
+
+    Every selected ``loop_id`` originates from the candidate table, so
+    a missing entry means the report is internally inconsistent (e.g.
+    a stale cache artifact); silently dropping it would skew the
+    height average, so it raises instead.
+    """
+    table = report.candidates
+    sig = report.selection.significant()
+    missing = [s.loop_id for s in sig if s.loop_id not in table.by_id]
+    if missing:
+        raise PipelineError(
+            "selection for %r references loop ids %r absent from "
+            "the candidate table — inconsistent report artifacts"
+            % (report.name, sorted(missing)))
+    heights = [table.by_id[s.loop_id].loop.height1() for s in sig]
+    weights = [s.stats.cycles for s in sig]
+    total = sum(weights)
+
+    def weighted(values) -> float:
+        if not total:
+            return 0.0
+        return sum(v * w for v, w in zip(values, weights)) / total
+
+    return {
+        "loop_count": table.loop_count,
+        "dynamic_depth": report.device.max_dynamic_depth(),
+        "selected_count": len(sig),
+        "avg_selected_height": (sum(heights) / len(heights)
+                                if heights else 0.0),
+        "threads_per_entry": weighted(
+            s.stats.avg_iters_per_entry for s in sig),
+        "thread_size": weighted(s.stats.avg_thread_size for s in sig),
+    }
+
+
 def render_characteristics_row(report: JrpmReport) -> str:
     """This program's row of Table 6 (TEST analysis columns)."""
-    row = CharacteristicsRow(report)
+    row = characteristics(report)
     return ("%-16s loops=%-4d depth=%-2d selected=%-3d "
             "avg_height=%-4.1f threads/entry=%-8.0f size=%-8.0f" % (
-                report.name, row.loop_count, row.dynamic_depth,
-                row.selected_count, row.avg_selected_height,
-                row.threads_per_entry, row.thread_size))
+                report.name, row["loop_count"], row["dynamic_depth"],
+                row["selected_count"], row["avg_selected_height"],
+                row["threads_per_entry"], row["thread_size"]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +196,9 @@ def render_characteristics_row(report: JrpmReport) -> str:
 #: bump when the JSON layout changes shape; consumers pin against it
 #: (v4: per-loop execution ``model`` in selection rows plus a nullable
 #: top-level ``models`` block for multi-model runs; v5: the ``models``
-#: block is always filled, ``["hydra-tls"]`` by default)
-REPORT_SCHEMA_VERSION = 5
+#: block is always filled, ``["hydra-tls"]`` by default; v6: the
+#: top-level ``characteristics`` block of Table 6 columns)
+REPORT_SCHEMA_VERSION = 6
 
 #: required top-level keys and their accepted types.  ``float`` accepts
 #: ints too (JSON has one number type); ``None`` marks nullable fields.
@@ -177,6 +218,7 @@ REPORT_SCHEMA: Dict[str, tuple] = {
     "trace_jit": (dict, type(None)),
     "optimize_stats": (dict, type(None)),
     "models": (dict,),
+    "characteristics": (dict,),
 }
 
 #: required keys of every row in ``selection["selected"]``
@@ -190,6 +232,16 @@ SELECTION_ROW_SCHEMA: Dict[str, tuple] = {
     "avg_thread_size": (float, int),
     "predicted_speedup": (float, int),
     "model": (str,),
+}
+
+#: required keys of the ``characteristics`` block (Table 6 columns)
+CHARACTERISTICS_SCHEMA: Dict[str, tuple] = {
+    "loop_count": (int,),
+    "dynamic_depth": (int,),
+    "selected_count": (int,),
+    "avg_selected_height": (float, int),
+    "threads_per_entry": (float, int),
+    "thread_size": (float, int),
 }
 
 
@@ -206,8 +258,9 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
     """The canonical machine-readable form of a pipeline run.
 
     Everything the text renderers print — summary headline, the
-    Figure 10 selection table, the Figure 11 predicted-vs-actual rows,
-    and the trace-engine counters — in one stable JSON-friendly dict.
+    Table 6 row, the Figure 10 selection table, the Figure 11
+    predicted-vs-actual rows, and the trace-engine counters — in one
+    stable JSON-friendly dict.
     """
     sel = report.selection
     selected = []
@@ -268,6 +321,7 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
             "selected_counts": counts,
             "per_loop": per_loop,
         },
+        "characteristics": characteristics(report),
     }
     # per-run trace-JIT counters; all counts are deterministic, so CLI
     # and service stay byte-identical
@@ -363,6 +417,9 @@ def validate_report_dict(data: Dict[str, Any]) -> None:
         for i, row in enumerate(sel.get("selected") or []):
             _check_keys("selection.selected[%d]" % i, row,
                         SELECTION_ROW_SCHEMA, problems)
+    if isinstance(data.get("characteristics"), dict):
+        _check_keys("characteristics", data["characteristics"],
+                    CHARACTERISTICS_SCHEMA, problems)
     pva = data.get("predicted_vs_actual")
     if isinstance(pva, dict):
         for key in ("predicted_normalized_time",
@@ -376,14 +433,15 @@ def validate_report_dict(data: Dict[str, Any]) -> None:
 
 def fleet_to_dict(result, elapsed: Optional[float] = None,
                   jobs: Optional[int] = None) -> Dict[str, Any]:
-    """``jrpm fleet --json`` payload: one report dict per successful
-    row (same serializer as ``jrpm run --json`` and the service), error
-    rows with their traceback, plus the sweep-level aggregates."""
+    """``jrpm fleet --json`` payload: each successful row's report dict
+    (the one ``jrpm run --json`` and the service emit, built in the
+    worker), error rows with their traceback, plus the sweep-level
+    aggregates."""
     rows: List[Dict[str, Any]] = []
     for row in result:
         if row.ok:
             rows.append({"workload": row.name, "ok": True,
-                         "report": report_to_dict(row.report)})
+                         "report": row.report})
         else:
             rows.append({"workload": row.name, "ok": False,
                          "error": row.error, "trace": row.trace,

@@ -54,7 +54,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.jrpm.cache import ArtifactCache, diff_stats
 from repro.jrpm.executor import FleetExecutor
-from repro.jrpm.report import report_to_dict
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import AnalyzeRequest
 
@@ -249,13 +248,18 @@ class RequestScheduler:
     def install_result(self, key: str, outcome: Dict[str, Any]) -> None:
         """Adopt a completed outcome pushed by a replica, so the local
         result LRU warms without recomputing."""
+        with self._cond:
+            self._remember_locked(key, outcome)
+
+    def _remember_locked(self, key: str, outcome: Dict[str, Any]) -> None:
+        """Publish an ok outcome to the result LRU, evicting the least
+        recently used past ``result_cache_size``."""
         if outcome.get("status") != "ok" or self.result_cache_size <= 0:
             return
-        with self._cond:
-            self._results[key] = outcome
-            self._results.move_to_end(key)
-            while len(self._results) > self.result_cache_size:
-                self._results.popitem(last=False)
+        self._results[key] = outcome
+        self._results.move_to_end(key)
+        while len(self._results) > self.result_cache_size:
+            self._results.popitem(last=False)
 
     def _retry_after_estimate(self) -> float:
         """Seconds until the queue has plausibly drained: queued work
@@ -348,13 +352,8 @@ class RequestScheduler:
                 # recompute-and-bypass, nobody received the answer,
                 # and a later non-fresh request would otherwise see a
                 # result no response ever carried
-                if outcome.get("status") == "ok" \
-                        and self.result_cache_size > 0 \
-                        and not (abandoned and entry.request.fresh):
-                    self._results[entry.key] = outcome
-                    self._results.move_to_end(entry.key)
-                    while len(self._results) > self.result_cache_size:
-                        self._results.popitem(last=False)
+                if not (abandoned and entry.request.fresh):
+                    self._remember_locked(entry.key, outcome)
                 entry.event.set()
             self._running = 0
             self.metrics.inc("analyze_completed", len(batch))
@@ -398,7 +397,7 @@ class RequestScheduler:
                 outcomes.append({
                     "status": "ok",
                     "workload": row.name,
-                    "report": report_to_dict(row.report),
+                    "report": row.report,
                     "attempts": 1,
                     "batch_size": len(requests),
                     "compute_s": round(elapsed, 6),
@@ -413,12 +412,11 @@ class RequestScheduler:
                 })
         return outcomes
 
-    def _merge_trace_jit(self, report) -> None:
+    def _merge_trace_jit(self, report: Dict[str, Any]) -> None:
         """Fold one report's interpreter trace-JIT counters into the
         service metrics (surfaced on /metrics next to the trace-engine
         stats)."""
-        for result in (report.sequential, report.profiled):
-            jit = result.jit
+        for jit in (report["trace_jit"] or {}).values():
             if not jit:
                 continue
             inc = self.metrics.inc
@@ -429,28 +427,21 @@ class RequestScheduler:
             inc("trace_jit_iterations", jit["iterations"])
             inc("trace_jit_guard_failures", jit["guard_failures"])
 
-    def _merge_optimize(self, report) -> None:
+    def _merge_optimize(self, report: Dict[str, Any]) -> None:
         """Fold one report's optimizer pass counters into the service
         metrics (surfaced on /metrics as ``optimize_*``)."""
-        stats = report.optimize_stats
-        if not stats:
-            return
-        for key, value in stats.items():
+        for key, value in (report["optimize_stats"] or {}).items():
             self.metrics.inc("optimize_%s" % key, value)
 
-    def _merge_models(self, report) -> None:
+    def _merge_models(self, report: Dict[str, Any]) -> None:
         """Fold one report's per-loop winners into the service metrics
         (surfaced on /metrics as ``model_selected_*`` and
         ``model_won_*``): how often each execution model won the
         argmax, and how often its winner was actually scheduled."""
-        selection = report.selection
-        chosen = {s.loop_id for s in selection.selected}
-        for loop_id in sorted(selection.decisions):
-            decision = selection.decisions[loop_id]
-            winner = decision.model
-            self.metrics.inc("model_won_%s" % winner)
-            if loop_id in chosen:
-                self.metrics.inc("model_selected_%s" % winner)
+        for loop in report["models"]["per_loop"]:
+            self.metrics.inc("model_won_%s" % loop["model"])
+            if loop["selected"]:
+                self.metrics.inc("model_selected_%s" % loop["model"])
 
     # -- shutdown --------------------------------------------------------
 

@@ -92,9 +92,7 @@ class LazyRecording:
     """A recording, or the loader that fetches it on first :meth:`get`.
 
     A report and its engine share one, so whichever reads the events
-    first fetches them once for both.  The loader runs at most once and
-    never pickles: a recording that was never loaded pickles as absent,
-    and :meth:`get` on the copy returns None.
+    first fetches them once for both.  The loader runs at most once.
     """
 
     def __init__(self, recording: Optional[ColumnarRecording] = None,
@@ -108,9 +106,6 @@ class LazyRecording:
             self._load = None
         return self._recording
 
-    def __getstate__(self):
-        return {"_recording": self._recording, "_load": None}
-
 
 class TraceEngine:
     """Memoized thread windows and replay plans over one columnar
@@ -119,7 +114,7 @@ class TraceEngine:
     ``recording`` is the recording itself or a :class:`LazyRecording`
     of it.  ``plans`` is the plan memo to serve from and fill (the one
     the artifact cache keeps for the recording's profile); by default
-    the engine keeps its own.  A pickled engine carries no plans.
+    the engine keeps its own.
     """
 
     def __init__(self,
@@ -136,11 +131,6 @@ class TraceEngine:
     def recording(self) -> Optional[ColumnarRecording]:
         """The recording the engine replays (loaded on first access)."""
         return self._recording.get()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_plans"] = {}
-        return state
 
     # -- kernels ---------------------------------------------------------
 

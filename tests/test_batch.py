@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.errors import PipelineError
 from repro.hydra import HydraConfig
 from repro.jrpm.batch import FleetResult, run_fleet
-from repro.jrpm.report import render_characteristics_row
+from repro.jrpm.pipeline import Jrpm
+from repro.jrpm.report import (
+    characteristics,
+    render_characteristics_row,
+    report_to_dict,
+    validate_report_dict,
+)
 from repro.workloads import get_workload
 
 SAMPLE = ["IDEA", "monteCarlo", "raytrace"]
@@ -21,11 +28,11 @@ class TestFleet:
         assert len(fleet) == 3
 
     def test_lookup_by_name(self, fleet):
-        row = fleet.by_name["IDEA"]
-        assert row.loop_count >= 2
-        assert row.selected_count >= 1
-        assert row.thread_size > 0
-        assert row.threads_per_entry > 0
+        columns = fleet.by_name["IDEA"].report["characteristics"]
+        assert columns["loop_count"] >= 2
+        assert columns["selected_count"] >= 1
+        assert columns["thread_size"] > 0
+        assert columns["threads_per_entry"] > 0
 
     def test_aggregates(self, fleet):
         assert 1.0 < fleet.median_slowdown < 1.5
@@ -38,34 +45,34 @@ class TestFleet:
         assert "Pred" in text and "Actual" in text
 
     def test_table6_columns_consistent_with_reports(self, fleet):
+        """A row's report is the dict ``jrpm run --json`` prints, Table 6
+        columns included."""
         for row in fleet:
-            assert row.loop_count \
-                == row.report.candidates.loop_count
-            assert row.coverage == row.report.coverage
-            assert row.dynamic_depth >= 1
+            validate_report_dict(row.report)
+            w = get_workload(row.name)
+            report = Jrpm(source=w.source(), name=w.name).run()
+            assert row.report == report_to_dict(report)
+            assert row.report["characteristics"] \
+                == characteristics(report)
+            assert row.report["characteristics"]["dynamic_depth"] >= 1
 
-    def test_missing_selected_loop_id_raises_not_skews(self, fleet):
+    def test_missing_selected_loop_id_raises_not_skews(self):
         # regression: a selected loop_id absent from the candidate
         # table used to be silently dropped, skewing the Table 6
         # column f average; it is an inconsistency and must raise, in
-        # the fleet table and in the one-program renderer alike
-        from repro.errors import PipelineError
-
-        row = fleet.by_name["IDEA"]
-        assert row.avg_selected_height > 0  # consistent: fine
-        assert "avg_height=" in render_characteristics_row(row.report)
-        by_id = row.report.candidates.by_id
-        victim = row.report.selection.significant()[0].loop_id
-        stashed = by_id.pop(victim)
-        try:
-            with pytest.raises(PipelineError) as excinfo:
-                row.avg_selected_height
-            assert str(victim) in str(excinfo.value)
-            with pytest.raises(PipelineError) as excinfo:
-                render_characteristics_row(row.report)
-            assert str(victim) in str(excinfo.value)
-        finally:
-            by_id[victim] = stashed
+        # the canonical dict and in the one-program renderer alike
+        w = get_workload("IDEA")
+        report = Jrpm(source=w.source(), name=w.name).run()
+        assert characteristics(report)["avg_selected_height"] > 0
+        assert "avg_height=" in render_characteristics_row(report)
+        victim = report.selection.significant()[0].loop_id
+        del report.candidates.by_id[victim]
+        with pytest.raises(PipelineError) as excinfo:
+            report_to_dict(report)
+        assert str(victim) in str(excinfo.value)
+        with pytest.raises(PipelineError) as excinfo:
+            render_characteristics_row(report)
+        assert str(victim) in str(excinfo.value)
 
     def test_exec_stats_default_clean(self, fleet):
         assert fleet.retry_count == 0

@@ -448,21 +448,6 @@ class TestLazyRecording:
         for field in REPORT_FIELDS:
             assert getattr(warm, field) == getattr(cold, field), field
 
-    def test_reports_pickle_without_the_loader(self):
-        cache = ArtifactCache()
-        _run(cache)
-        unread = _run(cache)
-        clone = pickle.loads(pickle.dumps(unread))
-        assert clone.recording is None  # never loaded: absent
-        assert clone.engine.recording is None
-        assert clone.actual_speedup == unread.actual_speedup
-
-        read = _run(cache)
-        digest = recording_digest(read.recording)
-        clone = pickle.loads(pickle.dumps(read))
-        assert recording_digest(clone.recording) == digest
-        assert clone.engine.recording is clone.recording
-
 
 #: Table 1 geometries for the plan memo: ``direct`` differs from the
 #: default in the load-buffer associativity only, which is no profile

@@ -95,13 +95,14 @@ class TestJsonOutput:
         assert "Jrpm report:" not in out
         assert "predicted speedup" not in out
 
-    def test_fleet_json_embeds_run_json_reports(self, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fleet_json_embeds_run_json_reports(self, capsys, jobs):
         import json
 
         from repro.jrpm import dumps_canonical, validate_report_dict
 
         assert main(["fleet", "--workloads", "IDEA,monteCarlo",
-                     "--no-tls", "--json"]) == 0
+                     "--no-tls", "--json", "--jobs", jobs]) == 0
         fleet_out = capsys.readouterr().out
         data = json.loads(fleet_out)
         assert fleet_out == dumps_canonical(data) + "\n"
@@ -110,12 +111,13 @@ class TestJsonOutput:
         for row in data["rows"]:
             assert row["ok"]
             validate_report_dict(row["report"])
-        # satellite contract: the embedded report is byte-identical to
-        # what `jrpm run <name> --no-tls --json` prints
-        assert main(["run", "IDEA", "--no-tls", "--json"]) == 0
-        run_out = capsys.readouterr().out
-        assert dumps_canonical(data["rows"][0]["report"]) + "\n" \
-            == run_out
+            # the embedded report, inline or built in a pool worker, is
+            # byte-identical to what `jrpm run <name> --no-tls --json`
+            # prints
+            assert main(["run", row["workload"], "--no-tls",
+                         "--json"]) == 0
+            run_out = capsys.readouterr().out
+            assert dumps_canonical(row["report"]) + "\n" == run_out
 
 
 class TestCacheCommand:

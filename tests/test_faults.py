@@ -30,15 +30,14 @@ from repro.jrpm.faults import (
     truncate_stage_blobs,
 )
 from repro.jrpm.pipeline import Jrpm
+from repro.jrpm.report import report_to_dict
 from repro.workloads import get_workload
 
 #: small/fast paper workloads; order matters for the combined test
 SAMPLE = ["IDEA", "monteCarlo", "BitOps", "raytrace"]
 
 ROW_FIELDS = [
-    "name", "loop_count", "dynamic_depth", "selected_count",
-    "avg_selected_height", "threads_per_entry", "thread_size",
-    "slowdown", "coverage", "predicted_speedup", "actual_speedup",
+    "name", "slowdown", "predicted_speedup", "actual_speedup", "report",
 ]
 
 
@@ -131,7 +130,7 @@ def _quarantine_then_die(workload, config, simulate_tls, cache, **kwargs):
     if not os.path.exists(marker):
         open(marker, "w").close()
         os._exit(KILL_EXIT_CODE)
-    return FleetRow(workload, report)
+    return FleetRow(workload, report_to_dict(report))
 
 
 class TestSerialFaults:

@@ -25,7 +25,13 @@ from repro.jrpm import (
     run_fleet,
     validate_report_dict,
 )
-from repro.jrpm.report import REPORT_SCHEMA, SELECTION_ROW_SCHEMA
+from repro.jrpm.report import (
+    CHARACTERISTICS_SCHEMA,
+    REPORT_SCHEMA,
+    SELECTION_ROW_SCHEMA,
+    characteristics,
+    render_characteristics_row,
+)
 from repro.workloads import all_workloads, get_workload, workload_names
 
 #: workloads that additionally run the full TLS simulation (slow), so
@@ -101,8 +107,8 @@ def test_serialization_is_deterministic():
 
 class TestSchemaStability:
     def test_schema_version_is_pinned(self):
-        # v5: the "models" block is always filled
-        assert REPORT_SCHEMA_VERSION == 5
+        # v6: the top-level "characteristics" block (Table 6 columns)
+        assert REPORT_SCHEMA_VERSION == 6
 
     def test_top_level_keys_are_frozen(self):
         # adding or removing a key is a schema-version bump, not a drift
@@ -111,7 +117,7 @@ class TestSchemaStability:
             "profiled_cycles", "profiling_slowdown", "loops_profiled",
             "coverage", "predicted_speedup", "actual_speedup",
             "selection", "predicted_vs_actual", "engine", "trace_jit",
-            "optimize_stats", "models",
+            "optimize_stats", "models", "characteristics",
         }
 
     def test_optimize_stats_block_is_nullable(self):
@@ -136,6 +142,36 @@ class TestSchemaStability:
             "avg_iters_per_entry", "avg_thread_size",
             "predicted_speedup", "model",
         }
+
+    def test_characteristics_keys_are_frozen(self):
+        assert set(CHARACTERISTICS_SCHEMA) == {
+            "loop_count", "dynamic_depth", "selected_count",
+            "avg_selected_height", "threads_per_entry", "thread_size",
+        }
+
+    def test_characteristics_block_is_the_table6_row(self):
+        report = _report("IDEA")
+        data = report_to_dict(report)
+        assert data["characteristics"] == characteristics(report)
+        assert set(data["characteristics"]) == set(CHARACTERISTICS_SCHEMA)
+        columns = data["characteristics"]
+        assert columns["loop_count"] == report.candidates.loop_count
+        assert columns["selected_count"] \
+            == len(report.selection.significant())
+        assert "loops=%-4d" % columns["loop_count"] \
+            in render_characteristics_row(report)
+
+    def test_validator_rejects_bad_characteristics(self):
+        data = report_to_dict(_report("BitOps"))
+        del data["characteristics"]["thread_size"]
+        with pytest.raises(ReportSchemaError,
+                           match="characteristics: missing key"):
+            validate_report_dict(data)
+        data = report_to_dict(_report("BitOps"))
+        data["characteristics"]["loop_count"] = 1.5
+        with pytest.raises(ReportSchemaError,
+                           match="characteristics: key 'loop_count'"):
+            validate_report_dict(data)
 
     def test_models_block_is_always_filled(self):
         # default runs: hydra-tls alone; multi-model runs: every model

@@ -469,6 +469,7 @@ class TestObservability:
         assert "linked=" in text
 
     def test_scheduler_merges_counters_into_metrics(self, huffman_report):
+        from repro.jrpm.report import report_to_dict
         from repro.service.metrics import ServiceMetrics
         from repro.service.scheduler import RequestScheduler
 
@@ -477,7 +478,8 @@ class TestObservability:
 
         shell = _Shell()
         shell.metrics = ServiceMetrics()
-        RequestScheduler._merge_trace_jit(shell, huffman_report)
+        RequestScheduler._merge_trace_jit(shell,
+                                          report_to_dict(huffman_report))
         counters = shell.metrics.counters
         assert counters["trace_jit_traces_linked"] >= 2
         assert counters["trace_jit_iterations"] > 0
