@@ -5,7 +5,7 @@ Three modes are timed and written to ``BENCH_pipeline.json``:
 
 * ``single_run`` — the full Huffman pipeline (compile through TLS
   replay), exercising the dispatch-table interpreter in both its
-  no-listener (sequential baseline) and traced (profiled run) loops;
+  no-listener (sequential baseline) and traced (profiled run) modes;
 * ``cached_sweep`` — a 3-configuration comparator-bank sweep run cold
   (filling an :class:`~repro.jrpm.cache.ArtifactCache`) and then warm
   against the filled cache, where every stage hits;

@@ -2,11 +2,10 @@
 
 One generated (or hand-written) program is executed along six paths:
 
-1. **fast** — the plain interpreter with no listener attached, which
-   takes the memoized dispatch fast path (trace JIT forced off: this
-   is the reference semantics);
+1. **fast** — the plain interpreter with no listener attached (trace
+   JIT forced off: this is the reference semantics);
 2. **traced** — the same program with a no-op :class:`TraceListener`,
-   forcing the instrumented dispatch loop (trace JIT off);
+   so the dispatch loop publishes events (trace JIT off);
 3. **annotated** — TEST annotations at ``OPTIMIZED`` level with the
    profiling device and a columnar recording attached;
 4. **optimized** — the microJIT scalar optimizer applied to a copy;
@@ -165,8 +164,8 @@ def check_source(source: str, seed: Optional[int] = None,
     outcome.return_value = fast.return_value
     outcome.fast_cycles = fast.cycles
 
-    # path 2: instrumented dispatch with a no-op listener — identical
-    # observable behaviour is the whole contract of the fast path
+    # path 2: dispatch with a no-op listener — publishing events must
+    # not change any observable behaviour
     traced = run_program(program, listener=TraceListener(),
                          max_instructions=max_instructions,
                          trace_jit=False)
@@ -261,8 +260,8 @@ def check_source(source: str, seed: Optional[int] = None,
     outcome.optimized_instructions = optimized.instructions
 
     # path 5: trace JIT at an aggressive threshold, diffed exactly
-    # against the JIT-off reference runs.  Three configurations: the
-    # fast loop, the no-op-listener traced loop, and the annotated
+    # against the JIT-off reference runs.  Three configurations: no
+    # listener, the no-op listener, and the annotated
     # program with a fresh device — the latter exercises superblock
     # event and marker emission against the full tracer, and must
     # reproduce every recording column and every loop's statistics.

@@ -15,33 +15,33 @@ Design notes
   with the opcode as a plain int, alongside a flat cycle-cost list.
   The hot loop dispatches on the precomputed int — no per-instruction
   attribute lookups, no enum comparisons.
-* Two specialized execution loops share that decoded form:
-  ``_run_fast`` (no listener) strips every piece of event plumbing —
-  annotation opcodes reduce to a cost charge and a pc bump — and is the
-  path plain sequential runs take; ``_run_traced`` publishes trace
-  events, batching heap and annotated-local accesses and the
-  ``sloop``/``eoi``/``readstats`` markers into one ordered buffer that
-  is delivered via
+* One execution loop serves both modes.  With no listener attached,
+  annotation opcodes reduce to a cost charge and a pc bump and heap
+  accesses publish nothing — the path plain sequential runs take.
+  With one, the loop publishes trace events, batching heap and
+  annotated-local accesses and the ``sloop``/``eoi``/``readstats``
+  markers into one ordered buffer that is delivered via
   :meth:`~repro.runtime.events.TraceListener.on_mem_batch`, so
   per-event Python call overhead is paid once per batch instead of once
-  per access.  Every entry has the shape ``(code, cycle, a, f, p)``:
-  a memory entry is ``(EV_*, cycle, address, fn, pc)``, with an
-  annotated local already in its ``local_address(frame_id, slot)``
-  form (the loop keeps the current frame's base address), and a marker
-  carries its loop id in ``a``.
+  per access.  The mode is a local fixed at entry and tested only in
+  the heap-access and annotation arms.  Every entry has the shape
+  ``(code, cycle, a, f, p)``: a memory entry is
+  ``(EV_*, cycle, address, fn, pc)``, with an annotated local already
+  in its ``local_address(frame_id, slot)`` form (the loop keeps the
+  current frame's base address), and a marker carries its loop id in
+  ``a``.
 * A batch is flushed at 512 entries and before every ``eloop``, the one
   marker delivered synchronously: its handler may fire the Sec. 5.2
   convergence callback, which patches ``READSTATS`` sites mid-run and
   so changes the cycles of every instruction that follows.  A batch may
   span loop entries and iterations; listeners track the activation
   stack at its marker entries.
-* Both loops hand a hot backedge target to one trace point,
+* The loop hands a hot backedge target to one trace point,
   :func:`_trace_point`, which warms, records, runs and chains the
-  :mod:`~repro.runtime.tracejit` superblocks of the loop's mode.  The
-  fast loop passes no listener, buffer or frame id; fast and traced
-  superblocks share one signature.  ``trace_jit=False`` turns the JIT
-  off and leaves the plain loops, the reference the JIT is checked
-  against.
+  :mod:`~repro.runtime.tracejit` superblocks of the run's mode; fast
+  and traced superblocks share one signature, and fast ones ignore the
+  frame id.  ``trace_jit=False`` turns the JIT off and leaves the plain
+  loop, the reference the JIT is checked against.
 * The cycle counter only ever increases, so the event stream (and each
   batch) is emitted in non-decreasing cycle order.  The columnar trace
   engine depends on this invariant: ``ColumnarRecording`` appends
@@ -136,7 +136,7 @@ class RunResult:
 def _trace_point(jit, mode, jstate, anchor, fn_name, code, costs, slots,
                  heap, printed, cycles, executed, limit, jenv, listener,
                  buf, frame_id):
-    """Handle a hot backedge target in either dispatch loop.
+    """Handle a hot backedge target in the dispatch loop.
 
     The inline site has already filtered blacklisted anchors; here the
     anchor is either warming (int countdown), due for recording, or
@@ -144,9 +144,9 @@ def _trace_point(jit, mode, jstate, anchor, fn_name, code, costs, slots,
     is dispatched to the next linked trace — the loop trace at a
     backedge target, or a tail trace at a hot side exit — so control
     only returns to the generic loop when no superblock covers the
-    exit.  The fast loop passes ``listener=None, buf=None,
-    frame_id=-1``; its superblocks ignore ``frame_id``.  Returns
-    ``(pc, cycles, executed)`` for the loop to adopt.
+    exit.  A listener-less run passes ``listener=None`` and its
+    (always empty) buffer; fast superblocks ignore ``frame_id``.
+    Returns ``(pc, cycles, executed)`` for the loop to adopt.
     """
     trace = jstate[anchor]
     if trace.__class__ is int:
@@ -261,176 +261,13 @@ class Interpreter:
         return cached
 
     def run(self) -> RunResult:
-        """Execute from the entry function to completion."""
-        if self.listener is None:
-            return self._run_fast()
-        return self._run_traced()
-
-    # -- fast path: no listener attached ---------------------------------
-
-    def _run_fast(self) -> RunResult:
-        heap = Heap()
-        printed: List = []
-        functions = self.program.functions
-
-        entry = self.program.main
-        fn_name = entry.name
-        code, n_slots = self._decoded_for(entry)
-        costs = self._costs_for(entry)
-        slots = [0] * n_slots
-        dst = -1
-        pc = 0
-        #: (code, costs, slots, return pc, dst, fn_name, jstate)
-        stack: List[tuple] = []
-
-        cycles = 0
-        executed = 0
-        limit = self.max_instructions
-
-        heap_load = heap.load
-        heap_store = heap.store
-
-        jit = self._jit
-        if jit is not None:
-            jstate = jit.state_for(fn_name, MODE_FAST, len(code))
-            jenv = (limit, heap_load, heap_store, heap.allocate,
-                    heap.length, printed)
-        else:
-            jstate = None
-            jenv = None
-
-        while True:
-            ins = code[pc]
-            op = ins[0]
-            cycles += costs[pc]
-            executed += 1
-            if executed > limit:
-                raise ExecutionError(
-                    "instruction budget exceeded (%d)" % limit,
-                    pc, fn_name)
-            if op == _BIN:
-                try:
-                    slots[ins[1]] = apply_binop(
-                        ins[4], slots[ins[2]], slots[ins[3]])
-                except ExecutionError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _CONST:
-                slots[ins[1]] = ins[5]
-                pc += 1
-            elif op == _MOV:
-                slots[ins[1]] = slots[ins[2]]
-                pc += 1
-            elif op == _BR:
-                npc = ins[2] if slots[ins[1]] else ins[3]
-                if npc <= pc and jstate is not None \
-                        and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point(
-                        jit, MODE_FAST, jstate, npc, fn_name, code, costs,
-                        slots, heap, printed, cycles, executed, limit,
-                        jenv, None, None, -1)
-                else:
-                    pc = npc
-            elif op == _JMP:
-                npc = ins[1]
-                if npc <= pc and jstate is not None \
-                        and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point(
-                        jit, MODE_FAST, jstate, npc, fn_name, code, costs,
-                        slots, heap, printed, cycles, executed, limit,
-                        jenv, None, None, -1)
-                else:
-                    pc = npc
-            elif op == _ALOAD:
-                try:
-                    slots[ins[1]] = heap_load(slots[ins[2]], slots[ins[3]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _ASTORE:
-                try:
-                    heap_store(slots[ins[1]], slots[ins[2]], slots[ins[3]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _UN:
-                try:
-                    slots[ins[1]] = apply_unop(ins[4], slots[ins[2]])
-                except ExecutionError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _NEWARR:
-                try:
-                    slots[ins[1]] = heap.allocate(slots[ins[2]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _LEN:
-                try:
-                    slots[ins[1]] = heap.length(slots[ins[2]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _INTRIN:
-                try:
-                    slots[ins[1]] = apply_intrinsic(
-                        ins[6], [slots[s] for s in ins[7]])
-                except ExecutionError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _CALL:
-                callee = functions.get(ins[6])
-                if callee is None:
-                    raise ExecutionError(
-                        "call to unknown function %r" % ins[6],
-                        pc, fn_name)
-                callee_code, n_slots = self._decoded_for(callee)
-                new_slots = [0] * n_slots
-                for i, arg_slot in enumerate(ins[7]):
-                    new_slots[i] = slots[arg_slot]
-                stack.append((code, costs, slots, pc + 1, dst, fn_name,
-                              jstate))
-                dst = ins[1]
-                fn_name = callee.name
-                code = callee_code
-                costs = self._costs_for(callee)
-                slots = new_slots
-                pc = 0
-                if jit is not None:
-                    jstate = jit.state_for(fn_name, MODE_FAST, len(code))
-            elif op == _RET:
-                value = slots[ins[1]] if ins[1] >= 0 else None
-                if not stack:
-                    return RunResult(
-                        cycles, executed, value, heap, printed,
-                        None if jit is None else jit.snapshot())
-                (code, costs, slots, pc, ret_dst, fn_name,
-                 jstate) = stack.pop()
-                if dst >= 0:
-                    slots[dst] = value
-                dst = ret_dst
-            elif op == _PRINT:
-                printed.append(slots[ins[1]])
-                pc += 1
-            elif op == _NOP or op >= _SLOOP:
-                # annotations are pure cost with no listener attached
-                pc += 1
-            else:  # pragma: no cover - exhaustive
-                raise ExecutionError("unknown opcode %r" % op, pc, fn_name)
-
-    # -- traced path: publish events to the listener ---------------------
-
-    def _run_traced(self) -> RunResult:
+        """Execute from the entry function to completion, publishing
+        trace events when a listener is attached."""
         heap = Heap()
         printed: List = []
         listener = self.listener
+        traced = listener is not None
+        mode = MODE_TRACED if traced else MODE_FAST
         functions = self.program.functions
         next_frame_id = 0
 
@@ -454,28 +291,38 @@ class Interpreter:
         executed = 0
         limit = self.max_instructions
 
+        heap_load = heap.load
+        heap_store = heap.store
         heap_load_addr = heap.load_addr
         heap_store_addr = heap.store_addr
-        on_mem_batch = listener.on_mem_batch
         flush_at = FLUSH_AT
 
         # one ordered buffer for heap and local accesses and every loop
         # marker but eloop; flushed when full and before each eloop, so
-        # listeners observe the exact order the unbatched interface did
+        # listeners observe the exact order the unbatched interface did.
+        # Without a listener it stays empty
         buf: List[tuple] = []
         buf_append = buf.append
+        if traced:
+            on_mem_batch = listener.on_mem_batch
+            on_eloop = listener.on_eloop
 
         jit = self._jit
-        if jit is not None:
-            jstate = jit.state_for(fn_name, MODE_TRACED, len(code))
-            # superblocks share buf by identity (cleared, never
-            # rebound), so events they append survive the error flush
-            jenv = (limit, heap_load_addr, heap_store_addr,
-                    heap.allocate, heap.length, printed, buf, buf_append,
-                    on_mem_batch, listener.on_eloop)
-        else:
+        if jit is None:
             jstate = None
             jenv = None
+        else:
+            jstate = jit.state_for(fn_name, mode, len(code))
+            if traced:
+                # superblocks share buf by identity (cleared, never
+                # rebound), so events they append survive the error
+                # flush
+                jenv = (limit, heap_load_addr, heap_store_addr,
+                        heap.allocate, heap.length, printed, buf,
+                        buf_append, on_mem_batch, on_eloop)
+            else:
+                jenv = (limit, heap_load, heap_store, heap.allocate,
+                        heap.length, printed)
 
         try:
             while True:
@@ -506,7 +353,7 @@ class Interpreter:
                     if npc <= pc and jstate is not None \
                             and jstate[npc] is not None:
                         pc, cycles, executed = _trace_point(
-                            jit, MODE_TRACED, jstate, npc, fn_name, code,
+                            jit, mode, jstate, npc, fn_name, code,
                             costs, slots, heap, printed, cycles,
                             executed, limit, jenv, listener, buf,
                             frame_id)
@@ -517,7 +364,7 @@ class Interpreter:
                     if npc <= pc and jstate is not None \
                             and jstate[npc] is not None:
                         pc, cycles, executed = _trace_point(
-                            jit, MODE_TRACED, jstate, npc, fn_name, code,
+                            jit, mode, jstate, npc, fn_name, code,
                             costs, slots, heap, printed, cycles,
                             executed, limit, jenv, listener, buf,
                             frame_id)
@@ -525,27 +372,38 @@ class Interpreter:
                         pc = npc
                 elif op == _ALOAD:
                     try:
-                        slots[ins[1]], address = heap_load_addr(
-                            slots[ins[2]], slots[ins[3]])
+                        if traced:
+                            slots[ins[1]], address = heap_load_addr(
+                                slots[ins[2]], slots[ins[3]])
+                        else:
+                            slots[ins[1]] = heap_load(
+                                slots[ins[2]], slots[ins[3]])
                     except HeapError as exc:
                         raise ExecutionError(
                             str(exc), pc, fn_name) from None
-                    buf_append((EV_LD, cycles, address, fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append((EV_LD, cycles, address, fn_name, pc))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
                     pc += 1
                 elif op == _ASTORE:
                     try:
-                        address = heap_store_addr(
-                            slots[ins[1]], slots[ins[2]], slots[ins[3]])
+                        if traced:
+                            address = heap_store_addr(
+                                slots[ins[1]], slots[ins[2]],
+                                slots[ins[3]])
+                        else:
+                            heap_store(slots[ins[1]], slots[ins[2]],
+                                       slots[ins[3]])
                     except HeapError as exc:
                         raise ExecutionError(
                             str(exc), pc, fn_name) from None
-                    buf_append((EV_ST, cycles, address, fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append((EV_ST, cycles, address, fn_name, pc))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
                     pc += 1
                 elif op == _UN:
                     try:
@@ -598,8 +456,7 @@ class Interpreter:
                     next_frame_id += 1
                     frame_base = LOCAL_ADDRESS_BASE + (frame_id << 16)
                     if jit is not None:
-                        jstate = jit.state_for(fn_name, MODE_TRACED,
-                                               len(code))
+                        jstate = jit.state_for(fn_name, mode, len(code))
                 elif op == _RET:
                     value = slots[ins[1]] if ins[1] >= 0 else None
                     if not stack:
@@ -615,47 +472,54 @@ class Interpreter:
                     if dst >= 0:
                         slots[dst] = value
                     dst = ret_dst
-                # --- annotations ------------------------------------
+                # --- annotations: pure cost without a listener -------
                 elif op == _LWL:
-                    buf_append((EV_LLD, cycles, frame_base + 4 * ins[1],
-                                fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append((EV_LLD, cycles,
+                                    frame_base + 4 * ins[1], fn_name, pc))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
                     pc += 1
                 elif op == _SWL:
-                    buf_append((EV_LST, cycles, frame_base + 4 * ins[1],
-                                fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append((EV_LST, cycles,
+                                    frame_base + 4 * ins[1], fn_name, pc))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
                     pc += 1
                 elif op == _EOI:
-                    buf_append((EV_EOI, cycles, ins[1], 0, 0))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append((EV_EOI, cycles, ins[1], 0, 0))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
                     pc += 1
                 elif op == _SLOOP:
-                    buf_append((EV_SLOOP, cycles, ins[1], ins[2], frame_id))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append((EV_SLOOP, cycles, ins[1], ins[2],
+                                    frame_id))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
                     pc += 1
                 elif op == _ELOOP:
-                    # the one synchronous marker: its handler may patch
-                    # code (Sec. 5.2 convergence), so everything before
-                    # it is delivered first
-                    if buf:
-                        on_mem_batch(buf)
-                        buf.clear()
-                    listener.on_eloop(ins[1], cycles)
+                    if traced:
+                        # the one synchronous marker: its handler may
+                        # patch code (Sec. 5.2 convergence), so
+                        # everything before it is delivered first
+                        if buf:
+                            on_mem_batch(buf)
+                            buf.clear()
+                        on_eloop(ins[1], cycles)
                     pc += 1
                 elif op == _READSTATS:
-                    buf_append((EV_READSTATS, cycles, ins[1], 0, 0))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append((EV_READSTATS, cycles, ins[1], 0, 0))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
                     pc += 1
                 elif op == _PRINT:
                     printed.append(slots[ins[1]])

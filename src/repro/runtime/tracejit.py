@@ -232,11 +232,9 @@ class TraceJIT:
     live code.
     """
 
-    def __init__(self, threshold: Optional[int] = None,
-                 max_ops: int = MAX_TRACE_OPS):
+    def __init__(self, threshold: Optional[int] = None):
         self.threshold = max(1, DEFAULT_HOT_THRESHOLD if threshold is None
                              else int(threshold))
-        self.max_ops = max_ops
         #: bumped on every live-code patch; traced superblocks compare
         #: against their link-time value after each listener call
         self.epoch = [0]
@@ -286,35 +284,6 @@ class TraceJIT:
                         (pc is None or pc in entry.pcs):
                     entry.valid[0] = False
                     state[anchor] = threshold
-
-    def __getstate__(self) -> Dict:
-        # linked superblocks are exec-compiled closures and cannot
-        # cross a pickle boundary; they are a cache, so a pickled JIT
-        # ships its counters and re-warms its anchors on the other side
-        return {
-            "threshold": self.threshold,
-            "max_ops": self.max_ops,
-            "epoch": list(self.epoch),
-            "recordings": self.recordings,
-            "linked": self.linked,
-            "blacklisted": self.blacklisted,
-            "recordings_aborted": self.recordings_aborted,
-            "invalidations": self.invalidations,
-        }
-
-    def __setstate__(self, state: Dict) -> None:
-        self.threshold = state["threshold"]
-        self.max_ops = state["max_ops"]
-        self.epoch = list(state["epoch"])
-        self._state = {}
-        self._attempts = {}
-        self._ret_misses = {}
-        self._all = []
-        self.recordings = state["recordings"]
-        self.linked = state["linked"]
-        self.blacklisted = state["blacklisted"]
-        self.recordings_aborted = state["recordings_aborted"]
-        self.invalidations = state["invalidations"]
 
     def snapshot(self) -> Dict:
         """Deterministic counters for :class:`RunResult` / reports."""
@@ -775,8 +744,8 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
     A loop trace (``tail=False``) closes when control returns to the
     anchor; a tail trace (``tail=True``) closes at the *first* taken
     backedge, wherever it leads — the straightline from a hot side
-    exit back to some loop header.  In fast mode ``listener`` and
-    ``buf`` are None and ``frame_id`` is -1: nothing is published.
+    exit back to some loop header.  In fast mode ``listener`` is None
+    and ``buf`` and ``frame_id`` go unused: nothing is published.
 
     Returns ``(pc, cycles, executed)`` for the interpreter to resume
     from — the recorder *is* execution, so all side effects (heap,
@@ -798,7 +767,6 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
     epoch0 = jit.epoch[0]
     traced = mode == MODE_TRACED
     entries: List[tuple] = []
-    max_ops = jit.max_ops
 
     heap_load_addr = heap.load_addr
     heap_store_addr = heap.store_addr
@@ -816,7 +784,7 @@ def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
     while True:
         ins = code[pc]
         op = ins[0]
-        if op == _CALL or op == _RET or len(entries) >= max_ops:
+        if op == _CALL or op == _RET or len(entries) >= MAX_TRACE_OPS:
             # structural stop before executing: the generic loop takes
             # over at this pc, and the anchor never records again --
             # unless a loop recording ran off its loop into the RET

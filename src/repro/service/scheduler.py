@@ -236,15 +236,6 @@ class RequestScheduler:
 
     # -- result LRU (cross-replica warm handoff) --------------------------
 
-    def peek(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached outcome for a raw content-addressed ``key``, or
-        None — a local LRU lookup, no queueing, no coalescing."""
-        with self._cond:
-            outcome = self._results.get(key)
-            if outcome is not None:
-                self._results.move_to_end(key)
-            return outcome
-
     def install_result(self, key: str, outcome: Dict[str, Any]) -> None:
         """Adopt a completed outcome pushed by a replica, so the local
         result LRU warms without recomputing."""

@@ -871,8 +871,11 @@ class TestTimeoutAbandonment:
             assert "jrpm_abandoned_results_total 1" \
                 in svc.metrics.render_prometheus()
             # ...but must NOT repopulate the result cache: the client
-            # asked fresh=true and nobody received this result
-            assert sched.peek(request.key) is None
+            # asked fresh=true and nobody received this result, so a
+            # non-fresh repeat misses the LRU
+            repeat = parse_analyze_request(_body(workload="BitOps"))
+            assert repeat.key == request.key
+            assert not sched.submit(repeat).cached
         finally:
             release.set()
             svc.stop()
@@ -888,12 +891,11 @@ class TestTimeoutAbandonment:
             assert status == 504
             release.set()
             deadline = time.monotonic() + 10
-            while sched.peek(request.key) is None \
-                    and time.monotonic() < deadline:
+            while sched.in_flight and time.monotonic() < deadline:
                 time.sleep(0.005)
             # a cacheable (non-fresh) result is kept: the next repeat
             # legitimately serves it from the LRU
-            assert sched.peek(request.key) is not None
+            assert sched.submit(request).cached
         finally:
             release.set()
             svc.stop()

@@ -484,18 +484,6 @@ class TestObservability:
         assert counters["trace_jit_traces_linked"] >= 2
         assert counters["trace_jit_iterations"] > 0
 
-    def test_jit_snapshot_survives_pickle_without_closures(self):
-        import pickle
-        program = compile_source(NESTED_LOOPS)
-        interp = Interpreter(program, trace_jit=True,
-                             trace_jit_threshold=2)
-        result = interp.run()
-        clone = pickle.loads(pickle.dumps(interp))
-        assert isinstance(clone._jit, TraceJIT)
-        assert clone._jit.linked == interp._jit.linked
-        # and a revived interpreter still runs correctly (re-warms)
-        assert clone.run().cycles == result.cycles
-
     def test_cache_never_aliases_jit_modes(self, tmp_path):
         from repro.jrpm import ArtifactCache, Jrpm
         src = "func main() { var s = 0; " \
