@@ -4,16 +4,28 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import islice
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.conformance.campaign import DEFAULT_FUZZ_SEED
-from repro.hydra import DEFAULT_HYDRA
+from repro.errors import SimulationError
+from repro.hydra import DEFAULT_HYDRA, HydraConfig
+from repro.jit.speculative import STLCompilation
 from repro.jrpm import Jrpm
 from repro.lang import compile_source
 from repro.runtime.events import ColumnarRecording, local_slot
 from repro.tls import schedule, split_trace
-from repro.tls.plan import build_plan
+from repro.tls.plan import (
+    DEP_HEAP,
+    DEP_HIT,
+    DEP_MISS,
+    NO_OVERFLOW,
+    ReplayPlan,
+    build_plan,
+)
+from repro.tls.simulator import DoacrossResult, TLSResult
 
 HERE = os.path.dirname(__file__)
 
@@ -174,6 +186,138 @@ def replay(entries, compilation, config=DEFAULT_HYDRA, post_wait=False):
     (restart-on-violation, or post/wait when ``post_wait`` is set)."""
     return schedule(build_plan(entries, compilation, config), compilation,
                     config, post_wait)
+
+
+def reference_schedule(plan: ReplayPlan, compilation: STLCompilation,
+                       config: HydraConfig,
+                       post_wait: bool = False) -> TLSResult:
+    """The reference timing pass: schedule ``plan``'s threads under
+    ``config``, in O(threads + dependences), walking every dependence
+    of the plan for every configuration.  The dependence policy is
+    post/wait (DOACROSS) when ``post_wait`` is set, else
+    restart-on-violation (Hydra TLS).
+
+    This is the timing pass as it stood before it read compacted wait
+    entries, kept as the reference :func:`repro.tls.simulator.schedule`
+    must match field for field."""
+    loop_id = compilation.loop_id
+    result = DoacrossResult(loop_id) if post_wait \
+        else TLSResult(loop_id)
+    p = config.n_cpus
+    comm = config.store_load_comm_overhead
+    restart = config.violation_restart_overhead
+    eoi = config.eoi_overhead
+    # post/wait waits on every heap arc; restart-on-violation does
+    # only under the Section 6.3 synchronization optimization
+    wait_heap = post_wait or compilation.synchronize_heap
+    # post/wait commits iterations as they go: nothing overflows
+    overflow = [NO_OVERFLOW] * len(plan.sizes) if post_wait \
+        else plan.overflow
+    #: each thread's start time so far, and the time each overflowed
+    #: thread resumed as head
+    started: List[int] = []
+    resumed: Dict[int, int] = {}
+    threads = zip(plan.sizes, overflow, plan.dep_counts)
+    deps = zip(plan.load_rel, plan.producer, plan.store_rel,
+               plan.kinds)
+
+    for total, n in zip(plan.entry_cycles, plan.entry_threads):
+        if n == 0:
+            result.add(0, total, 0, 0, 0)
+            continue
+        cpu_free = [0] * p
+        commit_prev = 0
+        prev_start = config.startup_overhead  # loop startup first
+        violations = overflows = posts = hits = 0
+
+        for j, (size, ov, count) in enumerate(islice(threads, n)):
+            start = cpu_free[j % p]
+            if prev_start > start:
+                start = prev_start
+            heap_deps = []
+            for load, k, store, kind in islice(deps, count):
+                # the producer's stores after its overflow point
+                # only drained once it resumed as head
+                k_ov = overflow[k]
+                if 0 <= k_ov < store:
+                    store_abs = resumed[k] + (store - k_ov)
+                else:
+                    store_abs = started[k] + store
+                if kind == DEP_HEAP:
+                    if not wait_heap:
+                        heap_deps.append((load, store_abs))
+                        continue
+                    posts += 1
+                elif post_wait:
+                    # a confident live-in prediction skips the wait
+                    # when right, and waits and restarts from the
+                    # load when wrong
+                    if kind == DEP_HIT:
+                        hits += 1
+                        continue
+                    if kind == DEP_MISS:
+                        violations += 1
+                        store_abs += restart
+                    else:
+                        posts += 1
+                # wait for the producer's store plus the store-load
+                # communication delay
+                need = store_abs + comm - load
+                if need > start:
+                    start = need
+            if heap_deps:
+                start, restarts = _reference_restart(start, heap_deps,
+                                                     restart)
+                violations += restarts
+
+            if ov == NO_OVERFLOW:
+                finish = start + size + eoi
+            else:
+                # stall at the overflow point until head, then drain
+                overflows += 1
+                resume = resumed[len(started)] = max(start + ov,
+                                                     commit_prev)
+                finish = resume + (size - ov) + eoi
+            started.append(start)
+            if finish > commit_prev:
+                commit_prev = finish
+            cpu_free[j % p] = commit_prev
+            prev_start = start
+
+        result.add(commit_prev + config.shutdown_overhead, total,
+                   violations, overflows, n)
+        if post_wait:
+            # consumption-side books: a prediction counts when a
+            # waiter used it, and every post/wait violation is a
+            # misprediction, so violations == predictions - hits by
+            # construction
+            result.predictions += hits + violations
+            result.predicted_hits += hits
+            result.posts += posts
+    return result
+
+
+def _reference_restart(start: int, heap_deps: List[Tuple[int, int]],
+                       restart: int) -> Tuple[int, int]:
+    """Restart on violation: ``(start, violations)`` of a thread that
+    starts at ``start`` and loads at ``(load rel, store time)``
+    ``heap_deps``.
+
+    A heap violation fires when the producing store executes and the
+    consumer has already read the address; the consumer restarts
+    *then* (store time + restart penalty) and re-executes, so later
+    loads land later and may no longer violate.  Each restart strictly
+    raises the start time, so this converges; the bound only protects
+    against a modelling bug.
+    """
+    for violations in range(100_000):
+        violated = [store_abs for load, store_abs in heap_deps
+                    if start + load < store_abs]
+        if not violated:
+            return start, violations
+        start = min(violated) + restart
+    raise SimulationError(  # pragma: no cover - safety net
+        "violation resolution did not converge")
 
 
 @pytest.fixture(scope="session")

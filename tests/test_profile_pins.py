@@ -18,6 +18,14 @@ is replayed under both speculative models, and every result field plus
 the hydra-tls replay's ``overflow_points`` (its plan's) goes into the
 digest.
 
+The same profiles also check the timing pass against
+:func:`tests.conftest.reference_schedule`, which walks every plan
+dependence for every configuration: under the :data:`SWEEP`
+configurations and ``test_replay_pins``' ``small`` geometry, every
+selected loop is replayed under both models with ``synchronize_heap``
+off and on, and each result must equal the reference's field for
+field.
+
 Regenerate the fixtures only when such a change is intended::
 
     PYTHONPATH=src python -m tests.test_profile_pins
@@ -38,7 +46,9 @@ from repro.tls import TraceEngine, split_trace
 from repro.tracer import select_stls
 from repro.workloads import all_workloads
 
+from tests.conftest import reference_schedule
 from tests.test_event_stream import device_state
+from tests.test_replay_pins import CONFIGS
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), "profile_pins.json")
 SWEEP_PINS_PATH = os.path.join(os.path.dirname(__file__),
@@ -115,10 +125,49 @@ def sweep_replay_digest(report):
     return hashlib.sha256(json.dumps(replays).encode()).hexdigest()
 
 
+def reference_check(report):
+    """``(replays, drained, mismatches)`` of checking every replay the
+    :data:`SWEEP` configurations and the ``small`` geometry select
+    against :func:`~tests.conftest.reference_schedule`, both models
+    and ``synchronize_heap`` off and on.  ``drained`` counts the
+    hydra-tls dependences whose store the producer published only
+    after it drained an overflow; ``mismatches`` names each replay
+    whose result differs from the reference's."""
+    engine = TraceEngine(report.recording)
+    configs = {"p%d/r%d" % sweep: HydraConfig(
+        n_cpus=sweep[0], violation_restart_overhead=sweep[1])
+        for sweep in SWEEP}
+    configs["small"] = CONFIGS["small"]
+    replays = drained = 0
+    mismatches = []
+    for cname, config in configs.items():
+        selection = select_stls(report.device, report.profiled.cycles,
+                                config, models="all")
+        for lid in selection.selected_ids():
+            for sync in (False, True):
+                comp = compile_stl(report.candidates.by_id[lid], config,
+                                   synchronize_heap=sync)
+                plan = engine.plan(comp, config)
+                for model in MODELS:
+                    post_wait = model == "doacross"
+                    got = get_model(model).simulate(comp, config, engine)
+                    want = reference_schedule(plan, comp, config,
+                                              post_wait)
+                    replays += 1
+                    if vars(got) != vars(want):
+                        mismatches.append((cname, lid, model, sync))
+                    if not post_wait:
+                        drained += sum(
+                            0 <= plan.overflow[k] < store
+                            for k, store in zip(plan.producer,
+                                                plan.store_rel))
+    return replays, drained, mismatches
+
+
 def profile_all():
     """``{workload: (device, split counts, {"arcs", "device",
-    "recording", "windows"}, sweep replay digest)}`` over the Table 6
-    programs."""
+    "recording", "windows"}, sweep replay digest, reference check)}``
+    over the Table 6 programs (see :func:`reference_check`)."""
     out = {}
     for workload in all_workloads():
         report = Jrpm(source=workload.source(),
@@ -132,7 +181,7 @@ def profile_all():
                 sort_keys=True).encode()).hexdigest(),
             "recording": recording_digest(report.recording),
             "windows": windows_digest(splits),
-        }, sweep_replay_digest(report))
+        }, sweep_replay_digest(report), reference_check(report))
     return out
 
 
@@ -158,11 +207,24 @@ def test_sweep_replays_match_pins(profiled):
         assert profiled[name][3] == want, name
 
 
+def test_timing_pass_matches_reference(profiled):
+    """Every selected loop's replay equals the reference timing pass's
+    field for field, and the checked replays reach the drained-after-
+    overflow store base (only the ``small`` geometry overflows)."""
+    replays = drained = 0
+    for name, (_, _, _, _, check) in profiled.items():
+        assert check[2] == [], name
+        replays += check[0]
+        drained += check[1]
+    assert replays > 2000
+    assert drained > 0
+
+
 def test_arc_bins_reconcile_with_stats(profiled):
     """Per bin kind, a loop's arc bins add up to its ``STLStats`` arc
     counters, and every bin names a load site."""
     loops = 0
-    for name, (device, _, _, _) in profiled.items():
+    for name, (device, _, _, _, _) in profiled.items():
         for lid, stats in device.stats.items():
             sums = {"prev": [0, 0], "earlier": [0, 0]}
             for (fn, pc, kind), b in device.profile_for(lid).bins.items():
@@ -187,7 +249,7 @@ def test_split_reconciles_with_device(profiled):
     iteration, so there the split may count more threads, never
     fewer."""
     loops = 0
-    for name, (device, counts, _, _) in profiled.items():
+    for name, (device, counts, _, _, _) in profiled.items():
         for lid, stats in device.stats.items():
             entries, threads, cycles, thread_cycles = counts[lid]
             assert (entries, cycles, thread_cycles) == (
@@ -203,9 +265,9 @@ def test_split_reconciles_with_device(profiled):
 if __name__ == "__main__":
     profiles = profile_all()
     for path, pins in (
-            (PINS_PATH, {name: entry for name, (_, _, entry, _)
+            (PINS_PATH, {name: entry for name, (_, _, entry, _, _)
                          in profiles.items()}),
-            (SWEEP_PINS_PATH, {name: replay for name, (_, _, _, replay)
+            (SWEEP_PINS_PATH, {name: replay for name, (_, _, _, replay, _)
                                in profiles.items()})):
         with open(path, "w") as fh:
             json.dump(pins, fh, indent=1, sort_keys=True)
