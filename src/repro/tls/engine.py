@@ -20,13 +20,16 @@ warm run whose plans all hit never unpickles it.  The engine's kernels:
   blob, so a warm run whose plans hit neither splits nor walks events;
 * ``replay(compilation, config, post_wait)`` — the timing pass
   :func:`~repro.tls.simulator.schedule` over that plan, the replay
-  every execution model runs.
+  every execution model runs: one compaction per plan and dependence
+  policy (kept with the plan, so it is memoised with it), then
+  O(threads + wait entries) per configuration.
 
 Only this module books into :class:`TraceEngineStats`, which keeps the
 four :data:`KERNELS` phases, so the report's ``engine`` block keeps its
 shape: ``split`` books splits and counts split-memo hits, ``classify``
 books plan builds and counts plan-memo hits, ``resolve`` books timing
-passes, and ``overflow`` (found inside the plan build) reads 0.  The
+passes (a policy's first pass over a plan includes its compaction),
+and ``overflow`` (found inside the plan build) reads 0.  The
 ``jrpm`` CLI prints the counters and ``bench_perf_pipeline`` persists
 them into ``BENCH_pipeline.json``.
 """

@@ -61,10 +61,6 @@ class ProgramTLSOutcome:
     def total_violations(self) -> int:
         return sum(r.violations for r in self.results.values())
 
-    @property
-    def total_overflows(self) -> int:
-        return sum(r.overflows for r in self.results.values())
-
     def per_stl_rows(self) -> List[tuple]:
         """(loop id, seq cycles, predicted speedup, actual speedup,
         violations/thread) per selected STL, by coverage."""
