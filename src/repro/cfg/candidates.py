@@ -103,9 +103,6 @@ class CandidateTable:
     def candidate(self, loop_id: int) -> STLCandidate:
         return self.by_id[loop_id]
 
-    def function_of(self, loop_id: int) -> str:
-        return self.by_id[loop_id].function
-
 
 def find_candidates(program: Program,
                     functions: Optional[Iterable[str]] = None

@@ -135,20 +135,6 @@ OBSERVABLE_OPS = frozenset([Op.PRINT, Op.ASTORE, Op.CALL, Op.NEWARR])
 HEAP_WRITERS = frozenset([Op.ASTORE, Op.CALL])
 
 
-def may_fault(ins: Instr) -> bool:
-    """True when ``ins`` can raise at runtime for some operand values."""
-    op = ins.op
-    if op == Op.BIN:
-        return BinOp(ins.sub) in FAULTING_BIN
-    if op == Op.UN:
-        return UnOp(ins.sub) in FAULTING_UN
-    # ALOAD/ASTORE: bounds + handle checks; NEWARR: negative length;
-    # LEN: invalid handle; INTRIN: domain errors (sqrt(-1));
-    # CALL: anything the callee does.
-    return op in (Op.ALOAD, Op.ASTORE, Op.NEWARR, Op.LEN,
-                  Op.INTRIN, Op.CALL)
-
-
 def has_annotations(fn: Function) -> bool:
     """True when ``fn`` carries tracer annotation opcodes.
 

@@ -21,7 +21,6 @@ from typing import FrozenSet
 from repro.cfg.candidates import STLCandidate
 from repro.cfg.scalar_deps import DepClass
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
-from repro.runtime.events import local_address
 
 
 class STLCompilation:
@@ -61,12 +60,6 @@ class STLCompilation:
     def is_forwarded_local(self, slot: int) -> bool:
         """Whether a local is globalized (forwarded between threads)."""
         return slot in self.forwarded_slots
-
-    def eliminated_addresses(self, frame_id: int) -> FrozenSet[int]:
-        """Synthetic local addresses eliminated for a given frame."""
-        return frozenset(
-            local_address(frame_id, s)
-            for s in (self.eliminated_slots | self.invariant_slots))
 
     @property
     def per_entry_overhead(self) -> int:

@@ -376,10 +376,6 @@ class ArtifactCache:
     def miss_count(self) -> int:
         return sum(self.misses.values())
 
-    @property
-    def corrupt_count(self) -> int:
-        return sum(self.corrupt.values())
-
     def render(self) -> str:
         """One-line-per-stage counter summary."""
         lines = ["%-12s %6s %6s %7s" % ("stage", "hits", "misses",

@@ -115,16 +115,6 @@ class Heap:
         """Copy of all arrays, for result comparisons in tests."""
         return {h: list(a) for h, a in self._arrays.items()}
 
-    @property
-    def allocated_arrays(self) -> int:
-        """Number of live arrays."""
-        return len(self._arrays)
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Total bytes of address space handed out."""
-        return self._next - _BASE_ADDRESS
-
 
 def line_of(address: int) -> int:
     """Cache-line number of a byte address."""
