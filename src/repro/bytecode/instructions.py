@@ -56,6 +56,13 @@ class Instr:
             self.imm, self.name, self.args,
         )
 
+    def __reduce__(self):
+        # one constructor call per instruction: a slotted class would
+        # otherwise pickle as __newobj__ plus a slot-state dict, and
+        # every warm run unpickles a whole program of them
+        return (Instr, (self.op, self.sub, self.a, self.b, self.c,
+                        self.imm, self.name, self.args))
+
     # -- rendering -----------------------------------------------------
 
     def render(self, names: Optional[dict] = None) -> str:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.bytecode.program import Program
 from repro.cfg.dominators import compute_dominators
-from repro.cfg.graph import CFG, build_cfg
+from repro.cfg.graph import build_cfg
 from repro.cfg.natural_loops import Loop, LoopForest, find_loops
 from repro.cfg.scalar_deps import DepClass, LoopScalarInfo, analyze_loop
 
@@ -59,12 +59,13 @@ class STLCandidate:
 
 
 class FunctionLoops:
-    """CFG + loop forest + candidates for one function."""
+    """Loop forest + candidates for one function.  The CFG they were
+    found on is not kept: the table is cached and unpickled on every
+    warm run, and consumers that need a graph build their own."""
 
-    def __init__(self, function: str, cfg: CFG, forest: LoopForest,
+    def __init__(self, function: str, forest: LoopForest,
                  candidates: List[STLCandidate]):
         self.function = function
-        self.cfg = cfg
         self.forest = forest
         self.candidates = candidates
 
@@ -72,8 +73,7 @@ class FunctionLoops:
 class CandidateTable:
     """Program-wide candidate STL inventory (Table 6 statics)."""
 
-    def __init__(self, program: Program):
-        self.program = program
+    def __init__(self):
         self.by_function: Dict[str, FunctionLoops] = {}
         self.by_id: Dict[int, STLCandidate] = {}
 
@@ -113,7 +113,7 @@ def find_candidates(program: Program,
     Loop ids are assigned deterministically: functions in sorted name
     order (entry first), loops by header block id.
     """
-    table = CandidateTable(program)
+    table = CandidateTable()
     names = list(functions) if functions is not None \
         else sorted(program.functions)
     if program.entry in names:
@@ -145,6 +145,5 @@ def find_candidates(program: Program,
             if parent is not None:
                 cand.parent_id = id_of_loop[parent.header]
                 table.by_id[cand.parent_id].child_ids.append(cand.loop_id)
-        table.by_function[name] = FunctionLoops(name, cfg, forest,
-                                                candidates)
+        table.by_function[name] = FunctionLoops(name, forest, candidates)
     return table

@@ -70,8 +70,7 @@ class Loop:
 class LoopForest:
     """All natural loops of one function, with nesting structure."""
 
-    def __init__(self, cfg: CFG, loops: List[Loop]):
-        self.cfg = cfg
+    def __init__(self, loops: List[Loop]):
         self.loops = loops
         self.by_header: Dict[int, Loop] = {lp.header: lp for lp in loops}
         self.roots = [lp for lp in loops if lp.parent is None]
@@ -153,4 +152,4 @@ def find_loops(cfg: CFG, dom: Optional[DominatorTree] = None) -> LoopForest:
         if lp.parent is None:
             set_depth(lp, 1)
 
-    return LoopForest(cfg, loops)
+    return LoopForest(loops)

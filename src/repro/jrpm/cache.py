@@ -10,8 +10,10 @@ keys so :class:`~repro.jrpm.pipeline.Jrpm` can skip unchanged stages.
 Stages and their key components
 -------------------------------
 ``compile``
-    (source text, optimize flag) -> compiled :class:`Program` plus its
-    :class:`CandidateTable`.
+    (source text, optimize flag) -> the compiled :class:`Program`, its
+    :class:`CandidateTable` (each loop's blocks, nesting and scalar
+    classes) and the optimizer counters.  Every warm run unpickles it,
+    so it keeps no CFG: ``annotate`` builds its own graph per function.
 ``annotate``
     (compile key, annotation level) -> pristine
     :class:`AnnotatedProgram` (snapshotted *before* the profiling run
@@ -69,9 +71,9 @@ trouble, a fault-injection test) therefore fails verification instead
 of feeding garbage to ``pickle.loads``; the bad file is quarantined by
 renaming it to ``<name>.corrupt``, the read is demoted to a miss, and
 a per-stage ``corrupt`` counter records the event.  Unpickling errors
-(truncated payload that still checksummed, a class that moved) are
-demoted the same way — a corrupt cache entry costs one recompute,
-never the run.
+(truncated payload that still checksummed, a class that moved, an enum
+value or a constructor signature that changed) are demoted the same
+way — a corrupt cache entry costs one recompute, never the run.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ BLOB_MAGIC = b"jrpmblob1\n"
 #: exceptions ``pickle.loads`` raises on damaged-but-checksummed or
 #: schema-drifted payloads; all demoted to cache misses
 _UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
-                    ImportError, IndexError)
+                    ImportError, IndexError, ValueError, TypeError)
 
 #: name suffix of a fleet submission's counter ledger (see
 #: :func:`read_ledger`); the executor deletes each after merging it,

@@ -215,8 +215,11 @@ class Jrpm:
             # "c3": optimize_stats went from nine counters to six; a
             # stored nine-field block would put the dropped three back
             # on /metrics
+            # "c4": the candidate table no longer carries its CFGs and
+            # Instr pickles as one constructor call; an older blob
+            # would serve a table that still holds the dead graphs
             ckey = cache_key(STAGE_COMPILE, self._source, self.optimize,
-                             "c3")
+                             "c4")
             hit, art = cache.fetch(STAGE_COMPILE, ckey)
         if hit:
             program, candidates, opt_stats = art

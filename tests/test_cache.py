@@ -6,11 +6,15 @@ exactly the stages that depend on it — no more (wasted work), no less
 (stale results).
 """
 
+import io
 import os
 import pickle
+import pickletools
 
 import pytest
 
+from repro.bytecode.instructions import Instr
+from repro.bytecode.opcodes import Op
 from repro.hydra import HydraConfig
 from repro.jit.annotate import AnnotationLevel
 from repro.jit.speculative import compile_stl
@@ -204,6 +208,26 @@ class TestBlobStore:
             cache_key("compile", object())
 
 
+class _Drifted:
+    """Pickles as the ``(callable, args)`` it is given: a stand-in for
+    an artifact whose classes changed after it was stored."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
+SCHEMA_DRIFT = {
+    # an opcode value Op no longer has: ValueError
+    "dropped-opcode": (Op, (250,)),
+    # one constructor argument more than Instr takes: TypeError
+    "constructor-arity": (Instr, (Op.NOP, 0, -1, -1, -1, None, "", (),
+                                  "extra")),
+}
+
+
 def _stage_blobs(directory, stage):
     """Paths of the on-disk blobs belonging to one stage."""
     return [os.path.join(directory, n)
@@ -279,6 +303,29 @@ class TestBlobIntegrity:
         assert fresh.misses[STAGE_ANNOTATE] == 1
         assert os.path.exists(path + ".corrupt")
         assert report.sequential_cycles > 0
+
+    @pytest.mark.parametrize("drift", sorted(SCHEMA_DRIFT))
+    def test_schema_drifted_payload_is_corrupt_and_a_miss(
+            self, tmp_path, drift):
+        # a checksummed payload whose classes changed since it was
+        # stored raises ValueError or TypeError from pickle.loads
+        warm = ArtifactCache(directory=str(tmp_path))
+        cold_report = _run(warm)
+        path = _stage_blobs(str(tmp_path), STAGE_COMPILE)[0]
+        payload = pickle.dumps(_Drifted(SCHEMA_DRIFT[drift]),
+                               pickle.HIGHEST_PROTOCOL)
+        with pytest.raises((ValueError, TypeError)):
+            pickle.loads(payload)
+        with open(path, "wb") as handle:
+            handle.write(frame_blob(STAGE_COMPILE, payload))
+
+        fresh = ArtifactCache(directory=str(tmp_path))
+        report = _run(fresh)
+        assert fresh.corrupt == {STAGE_COMPILE: 1}
+        assert fresh.misses == {STAGE_COMPILE: 1}
+        assert os.path.exists(path + ".corrupt")
+        for field in REPORT_FIELDS:
+            assert getattr(report, field) == getattr(cold_report, field)
 
     def test_snapshot_merges_corrupt_counter(self, tmp_path):
         from repro.jrpm.cache import diff_stats, merge_stats
@@ -419,32 +466,98 @@ class TestLazyRecording:
         _run(again, "Huffman")
         assert again.miss_count == 0 and again.hits[STAGE_RECORDING] == 1
 
-    def test_old_format_profile_blob_is_never_served(self, monkeypatch):
+    def test_old_format_profile_blob_is_never_served(self, key_parts):
         """A profile blob stored under the "art4" key (the 3-tuple with
         the recording inside) must miss, never be unpacked."""
-        keys = []
-        real_key = pipeline.cache_key
-
-        def spy(stage, *parts):
-            if stage == STAGE_PROFILE:
-                keys.append(parts)
-            return real_key(stage, *parts)
-
-        monkeypatch.setattr(pipeline, "cache_key", spy)
         filled = ArtifactCache()
         cold = _run(filled)
-        parts = keys[-1]
-        assert parts[-1] != "art4"
-        old_key = cache_key(STAGE_PROFILE, *parts[:-1], "art4")
+        warm = _serve_under_old_tag(
+            filled, STAGE_PROFILE, key_parts[STAGE_PROFILE][-1], "art4",
+            (cold.profiled, cold.device, cold.recording))
+        for field in REPORT_FIELDS:
+            assert getattr(warm, field) == getattr(cold, field), field
 
-        new_key = real_key(STAGE_PROFILE, *parts)
-        stale = ArtifactCache()
-        stale._blobs = {key: blob for key, blob in filled._blobs.items()
-                        if key != new_key}
-        stale.store(STAGE_PROFILE, old_key,
-                    (cold.profiled, cold.device, cold.recording))
-        warm = _run(stale)
-        assert stale.misses == {STAGE_PROFILE: 1}
+
+@pytest.fixture
+def key_parts(monkeypatch):
+    """The key components of every cache key the pipeline computes, per
+    stage, in order."""
+    parts = {}
+    real_key = pipeline.cache_key
+
+    def spy(stage, *key_parts):
+        parts.setdefault(stage, []).append(key_parts)
+        return real_key(stage, *key_parts)
+
+    monkeypatch.setattr(pipeline, "cache_key", spy)
+    return parts
+
+
+def _serve_under_old_tag(filled, stage, parts, old_tag, old_value):
+    """Run IDEA on a cache holding what ``filled`` holds, except that
+    ``stage``'s blob is ``old_value`` under the key with the format tag
+    ``old_tag``; that stage alone must miss."""
+    assert parts[-1] != old_tag
+    new_key = cache_key(stage, *parts)
+    stale = ArtifactCache()
+    stale._blobs = {key: blob for key, blob in filled._blobs.items()
+                    if key != new_key}
+    stale.store(stage, cache_key(stage, *parts[:-1], old_tag), old_value)
+    warm = _run(stale)
+    assert stale.misses == {stage: 1}
+    return warm
+
+
+class _ConstructorAudit(pickle.Unpickler):
+    """Counts the ``Instr`` objects a stream builds by calling the
+    constructor; NEWOBJ would build them without it."""
+
+    def __init__(self, blob):
+        super().__init__(io.BytesIO(blob))
+        self.constructed = 0
+
+    def find_class(self, module, name):
+        cls = super().find_class(module, name)
+        if cls is not Instr:
+            return cls
+        audit = self
+
+        class CountedInstr(Instr):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                audit.constructed += 1
+                super().__init__(*args)
+
+        return CountedInstr
+
+
+class TestCompileArtifactShape:
+    """Every warm op unpickles the compile artifact: it carries no CFG,
+    and each instruction loads as one constructor call."""
+
+    def test_blob_names_no_cfg_class_and_builds_instrs_by_constructor(
+            self, key_parts):
+        cache = ArtifactCache()
+        _run(cache, "Huffman")
+        blob = cache._blobs[cache_key(STAGE_COMPILE,
+                                      *key_parts[STAGE_COMPILE][-1])]
+        strings = {arg for _, arg, _ in pickletools.genops(blob)
+                   if isinstance(arg, str)}
+        assert "repro.cfg.natural_loops" in strings
+        assert not any(s.startswith("repro.cfg.graph") for s in strings)
+        audit = _ConstructorAudit(blob)
+        program = audit.load()[0]
+        assert audit.constructed == program.total_instructions() > 0
+
+    def test_old_format_compile_blob_is_never_served(self, key_parts):
+        """A compile blob stored under the "c3" key (a candidate table
+        that still carries its CFGs) must miss, never be unpacked."""
+        filled = ArtifactCache()
+        cold = _run(filled)
+        warm = _serve_under_old_tag(
+            filled, STAGE_COMPILE, key_parts[STAGE_COMPILE][-1], "c3",
+            (cold.program, cold.candidates, cold.optimize_stats))
         for field in REPORT_FIELDS:
             assert getattr(warm, field) == getattr(cold, field), field
 
